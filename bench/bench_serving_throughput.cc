@@ -1,11 +1,13 @@
-// Serving-throughput benchmark for the persistent ServingSession (the
-// perf-opt tentpole, docs/performance.md "Serving"): streams the test split
-// through both serving paths and reports requests/sec plus latency
-// quantiles.
+// Serving-throughput benchmark for the persistent ServingSession, the one
+// serving engine (docs/performance.md "Serving"): streams the test split
+// through the session and through the from-scratch reference, and reports
+// requests/sec plus latency quantiles.
 //
 //   per_request: every batch recomposes the deployment from scratch
 //       (aM conversion, block composition, full renormalization, full
-//       feature restack) — the ComposeDeployment / ServeImpl path.
+//       feature restack) with ComposeDeployment + Predict — the exact
+//       reference the session is tested against, kept here as the cost
+//       baseline.
 //   session:     one ServingSession built up front; every batch patches
 //       only the rows its links change. Logits are bit-identical to
 //       per_request by construction.
@@ -96,8 +98,8 @@ struct PathStats {
   uint64_t checksum = kFnvSeed;
 };
 
-/// One streaming pass per `passes` over `batches`, per-request path:
-/// the full recompose pipeline every batch.
+/// One streaming pass per `passes` over `batches`, per-request path: the
+/// full from-scratch ComposeDeployment + Predict pipeline every batch.
 PathStats RunPerRequest(GnnModel& model, const Graph& base,
                         const CondensedGraph* condensed,
                         const std::vector<HeldOutBatch>& batches,

@@ -15,9 +15,9 @@ namespace mcond {
 // ---------------------------------------------------------------------------
 // Bit-exactness notes
 //
-// Every value this file produces must be memcmp-equal to what the
-// per-request path (ComposeBlockAdjacency + GraphOperators::FromAdjacency)
-// computes, so the float expressions below deliberately replicate those in
+// Every value this file produces must be memcmp-equal to what composing
+// from scratch (ComposeBlockAdjacency + GraphOperators::FromAdjacency, i.e.
+// ComposeDeployment) computes, so the float expressions below deliberately replicate those in
 // graph/graph.cc and core/csr_matrix.cc:
 //
 //  - RowSums accumulates each row in a double, in storage order, and casts
@@ -587,8 +587,8 @@ const Tensor& ServingSession::Serve(const HeldOutBatch& batch,
       forward_hist_.Record(span.ElapsedMicros());
     }
   }
-  // The paper's memory model over the RAW composed adjacency (what the
-  // per-request path reports before normalization).
+  // The paper's memory model over the RAW composed adjacency (the CSR
+  // bytes of ComposeDeployment's `adjacency`, before normalization).
   const int64_t raw_nnz = sb.base_graph.adjacency().Nnz() + 2 * links_nnz +
                           (inter != nullptr ? inter->Nnz() : 0);
   composed_csr_bytes_ =

@@ -1,8 +1,8 @@
 // Cross-module property tests: the serving path must be internally
-// consistent (ServeOn* ≡ manual compose + predict), the dense and sparse
-// composition/normalization paths must agree, and the ℒ_ind forward pass
-// (differentiable, dense) must match the sparse serving pipeline on the
-// same inputs.
+// consistent (ServeOn* ≡ manual compose + predict, memory model ≡ composed
+// bytes), the dense and sparse composition/normalization paths must agree,
+// and the ℒ_ind forward pass (differentiable, dense) must match the sparse
+// serving pipeline on the same inputs.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -113,15 +113,39 @@ TEST_F(PipelineTest, MappedLinksMatchSpGemm) {
 }
 
 TEST_F(PipelineTest, MemoryModelMatchesComponents) {
-  InferenceResult res = ServeOnOriginal(*model_, data_->train_graph,
-                                        data_->test, false, *rng_, 1);
-  const HeldOutBatch nb = data_->test.WithoutInterEdges();
-  const CsrMatrix composed = ComposeBlockAdjacency(
-      data_->train_graph.adjacency(), nb.links, nb.inter);
-  const int64_t feature_bytes =
-      (data_->train_graph.NumNodes() + data_->test.size()) *
-      data_->train_graph.FeatureDim() * static_cast<int64_t>(sizeof(float));
-  EXPECT_EQ(res.memory_bytes, composed.StorageBytes() + feature_bytes);
+  // The session computes the composed CSR bytes from a formula (base +
+  // 2·links + inter nnz); the paper's memory model (Fig. 3/4) must equal
+  // the bytes of the from-scratch ComposeDeployment oracle: composed CSR +
+  // (N+n)·d feature floats (+ mapping bytes on the condensed side).
+  auto expected_bytes = [](const Deployment& dep, int64_t feature_dim,
+                           int64_t mapping_bytes) {
+    return dep.adjacency.StorageBytes() +
+           (dep.num_base + dep.batch_size) * feature_dim *
+               static_cast<int64_t>(sizeof(float)) +
+           mapping_bytes;
+  };
+  MCondConfig config;
+  config.outer_rounds = 2;
+  config.s_steps_per_round = 3;
+  config.m_steps_per_round = 3;
+  const MCondResult r =
+      RunMCond(data_->train_graph, data_->val, 9, config, 72);
+  const int64_t d = data_->train_graph.FeatureDim();
+  for (const bool graph_batch : {true, false}) {
+    SCOPED_TRACE(graph_batch ? "graph-batch" : "node-batch");
+    const InferenceResult orig = ServeOnOriginal(
+        *model_, data_->train_graph, data_->test, graph_batch, *rng_, 1);
+    const Deployment orig_dep =
+        ComposeDeployment(data_->train_graph, data_->test, graph_batch);
+    EXPECT_EQ(orig.memory_bytes, expected_bytes(orig_dep, d, 0));
+
+    const InferenceResult cond = ServeOnCondensed(
+        *model_, r.condensed, data_->test, graph_batch, *rng_, 1);
+    const Deployment cond_dep =
+        ComposeDeployment(r.condensed, data_->test, graph_batch);
+    EXPECT_EQ(cond.memory_bytes,
+              expected_bytes(cond_dep, d, r.condensed.mapping.StorageBytes()));
+  }
 }
 
 TEST_F(PipelineTest, CondensedMemoryIncludesMapping) {

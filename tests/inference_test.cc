@@ -52,18 +52,30 @@ TEST_F(InferenceTest, ServeOnOriginalShapesAndAccuracy) {
   EXPECT_GT(res.accuracy, 0.6);
   EXPECT_GT(res.seconds, 0.0);
   EXPECT_GT(res.memory_bytes, 0);
-  EXPECT_EQ(res.composed_norm_adj.rows(),
+  const Deployment dep =
+      ComposeDeployment(data_->train_graph, data_->test, /*graph_batch=*/true);
+  EXPECT_EQ(dep.adjacency.rows(),
             data_->train_graph.NumNodes() + data_->test.size());
+  EXPECT_EQ(dep.operators.gcn_norm.rows(), dep.adjacency.rows());
 }
 
 TEST_F(InferenceTest, NodeBatchDropsInterEdges) {
+  const Deployment graph_dep =
+      ComposeDeployment(data_->train_graph, data_->test, /*graph_batch=*/true);
+  const Deployment node_dep = ComposeDeployment(
+      data_->train_graph, data_->test, /*graph_batch=*/false);
+  // Fewer edges in the composed adjacency under node batch...
+  EXPECT_LT(node_dep.adjacency.Nnz(), graph_dep.adjacency.Nnz());
+  EXPECT_LT(node_dep.operators.gcn_norm.Nnz(),
+            graph_dep.operators.gcn_norm.Nnz());
+  // ...and the served memory model follows the composed adjacency.
   InferenceResult graph_res = ServeOnOriginal(
       *model_, data_->train_graph, data_->test, true, *rng_, 1);
   InferenceResult node_res = ServeOnOriginal(
       *model_, data_->train_graph, data_->test, false, *rng_, 1);
-  // Fewer edges in the composed adjacency under node batch.
-  EXPECT_LT(node_res.composed_norm_adj.Nnz(),
-            graph_res.composed_norm_adj.Nnz());
+  EXPECT_EQ(graph_res.memory_bytes - node_res.memory_bytes,
+            graph_dep.adjacency.StorageBytes() -
+                node_dep.adjacency.StorageBytes());
 }
 
 TEST_F(InferenceTest, ServeOnCondensedUsesMappingConversion) {

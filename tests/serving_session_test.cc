@@ -1,11 +1,13 @@
 // Tests for the persistent ServingSession (src/serve/): bit-identical
-// logits vs the per-request path across architectures, batch modes, and
-// thread widths; buffer reuse across a batch stream; and the steady-state
-// zero-tensor-heap-allocation contract.
+// logits vs the from-scratch ComposeDeployment reference across
+// architectures, batch modes, and thread widths — directly and through
+// ServeOnOriginal/ServeOnCondensed; buffer reuse across a batch stream; and
+// the steady-state zero-tensor-heap-allocation contract.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <numeric>
+#include <string>
 
 #include "core/parallel.h"
 #include "core/tensor_ops.h"
@@ -13,6 +15,7 @@
 #include "data/datasets.h"
 #include "eval/batching.h"
 #include "eval/inference.h"
+#include "nn/metrics.h"
 #include "serve/serving_session.h"
 
 namespace mcond {
@@ -51,9 +54,9 @@ class ServingSessionTest : public ::testing::Test {
     return MakeGnn(arch, g.FeatureDim(), g.num_classes(), gc, rng);
   }
 
-  /// The per-request reference: compose the deployment from scratch and
-  /// slice the batch rows, exactly what ServeImpl does.
-  static Tensor PerRequestLogits(GnnModel& model, const HeldOutBatch& batch,
+  /// The exact reference: compose the deployment from scratch and slice
+  /// the batch rows.
+  static Tensor ReferenceLogits(GnnModel& model, const HeldOutBatch& batch,
                                  bool graph_batch, bool on_condensed) {
     Rng rng(9);
     Deployment dep =
@@ -79,7 +82,7 @@ TEST_F(ServingSessionTest, BitIdenticalAcrossArchitecturesAndBatchModes) {
     std::unique_ptr<GnnModel> model = MakeModel(arch);
     for (const bool graph_batch : {true, false}) {
       const Tensor expect =
-          PerRequestLogits(*model, data_->test, graph_batch,
+          ReferenceLogits(*model, data_->test, graph_batch,
                            /*on_condensed=*/true);
       ServingSession session(*condensed_, *model);
       Rng rng(9);
@@ -93,7 +96,7 @@ TEST_F(ServingSessionTest, BitIdenticalAcrossArchitecturesAndBatchModes) {
 TEST_F(ServingSessionTest, BitIdenticalOnOriginalGraph) {
   std::unique_ptr<GnnModel> model = MakeModel(GnnArch::kSgc);
   for (const bool graph_batch : {true, false}) {
-    const Tensor expect = PerRequestLogits(*model, data_->test, graph_batch,
+    const Tensor expect = ReferenceLogits(*model, data_->test, graph_batch,
                                            /*on_condensed=*/false);
     ServingSession session(data_->train_graph, *model);
     Rng rng(9);
@@ -104,7 +107,7 @@ TEST_F(ServingSessionTest, BitIdenticalOnOriginalGraph) {
 
 TEST_F(ServingSessionTest, BitIdenticalAcrossThreadWidths) {
   std::unique_ptr<GnnModel> model = MakeModel(GnnArch::kSgc);
-  const Tensor expect = PerRequestLogits(*model, data_->test,
+  const Tensor expect = ReferenceLogits(*model, data_->test,
                                          /*graph_batch=*/true,
                                          /*on_condensed=*/true);
   for (const int threads : {1, 8}) {
@@ -125,7 +128,7 @@ TEST_F(ServingSessionTest, StreamedBatchesMatchPerRequestIncludingResize) {
   ASSERT_GT(batches.size(), 1u);
   ServingSession session(*condensed_, *model);
   for (const HeldOutBatch& batch : batches) {
-    const Tensor expect = PerRequestLogits(*model, batch,
+    const Tensor expect = ReferenceLogits(*model, batch,
                                            /*graph_batch=*/false,
                                            /*on_condensed=*/true);
     Rng rng(9);
@@ -163,34 +166,29 @@ TEST_F(ServingSessionTest, SteadyStateServesDoNotTouchTensorHeap) {
   EXPECT_EQ(session.fallback_serves(), 0);
 }
 
-TEST_F(ServingSessionTest, ServeModeSessionMatchesPerRequestEndToEnd) {
-  // The high-level API: both modes must agree on logits, accuracy, and the
-  // paper's memory model.
+TEST_F(ServingSessionTest, ServeOnMatchesComposeDeploymentEndToEnd) {
+  // The high-level API serves through a session; its logits and accuracy
+  // must equal the from-scratch reference for both deployments and both
+  // batch modes, warm-up and timed repeats included.
   std::unique_ptr<GnnModel> model = MakeModel(GnnArch::kSgc);
-  Rng rng_a(9), rng_b(9);
-  const InferenceResult per_request =
-      ServeOnCondensed(*model, *condensed_, data_->test,
-                       /*graph_batch=*/true, rng_a, /*repeats=*/1,
-                       ServeMode::kPerRequest);
-  const InferenceResult session =
-      ServeOnCondensed(*model, *condensed_, data_->test,
-                       /*graph_batch=*/true, rng_b, /*repeats=*/1,
-                       ServeMode::kSession);
-  ExpectBitEqual(per_request.logits, session.logits);
-  EXPECT_EQ(per_request.memory_bytes, session.memory_bytes);
-  EXPECT_DOUBLE_EQ(per_request.accuracy, session.accuracy);
-
-  Rng rng_c(9), rng_d(9);
-  const InferenceResult orig_pr =
-      ServeOnOriginal(*model, data_->train_graph, data_->test,
-                      /*graph_batch=*/false, rng_c, /*repeats=*/1,
-                      ServeMode::kPerRequest);
-  const InferenceResult orig_se =
-      ServeOnOriginal(*model, data_->train_graph, data_->test,
-                      /*graph_batch=*/false, rng_d, /*repeats=*/1,
-                      ServeMode::kSession);
-  ExpectBitEqual(orig_pr.logits, orig_se.logits);
-  EXPECT_EQ(orig_pr.memory_bytes, orig_se.memory_bytes);
+  for (const bool on_condensed : {true, false}) {
+    for (const bool graph_batch : {true, false}) {
+      SCOPED_TRACE(std::string(on_condensed ? "condensed" : "original") +
+                   (graph_batch ? " graph-batch" : " node-batch"));
+      const Tensor expect = ReferenceLogits(*model, data_->test,
+                                             graph_batch, on_condensed);
+      Rng rng(9);
+      const InferenceResult res =
+          on_condensed
+              ? ServeOnCondensed(*model, *condensed_, data_->test,
+                                 graph_batch, rng, /*repeats=*/2)
+              : ServeOnOriginal(*model, data_->train_graph, data_->test,
+                                graph_batch, rng, /*repeats=*/2);
+      ExpectBitEqual(expect, res.logits);
+      EXPECT_DOUBLE_EQ(res.accuracy,
+                       AccuracyFromLogits(expect, data_->test.labels));
+    }
+  }
 }
 
 TEST_F(ServingSessionTest, CondensedSessionRequiresMapping) {

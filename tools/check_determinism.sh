@@ -7,8 +7,9 @@
 # When given a bench_serving_throughput binary it additionally proves the
 # serving contracts: its --smoke checksums must match between the two
 # widths, AND within each run every logits_session* digest must equal its
-# logits_per_request* counterpart — the session path is bit-identical to
-# the per-request path, not just self-consistent (docs/performance.md).
+# logits_per_request* counterpart — the session (the one serving engine
+# behind ServeOn*) is bit-identical to the from-scratch ComposeDeployment
+# reference, not just self-consistent (docs/performance.md).
 #
 # When given a bench_condense_scale binary it also proves the out-of-core
 # contract: its --smoke digests must match between the two widths AND
