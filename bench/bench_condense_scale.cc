@@ -8,7 +8,8 @@
 // Modes:
 //   bench_condense_scale --smoke
 //       Prints resident_<tag> / streamed_<tag> bit-level digest pairs for
-//       every streamed kernel plus one full condense round on a small graph
+//       every streamed kernel (sym_normalize, spmm, rowsums, propagate,
+//       compose, edges) plus one full condense round on a small graph
 //       forced into >= 4 segments. tools/check_determinism.sh diffs the
 //       output between MCOND_NUM_THREADS=1 and N and pair-checks each
 //       streamed digest against its resident twin.
@@ -43,40 +44,89 @@
 #include "core/simd.h"
 #include "core/tensor_ops.h"
 #include "data/synthetic.h"
+#include "graph/compose.h"
 #include "graph/inductive.h"
+#include "graph/sampling.h"
 #include "graph/sharded_ops.h"
 #include "obs/resource.h"
 
 namespace mcond {
 namespace {
 
-// FNV-1a over raw float bit patterns: any single-ULP difference between the
-// resident and streamed paths flips the digest.
-void HashBits(uint64_t* h, const float* data, int64_t count) {
-  for (int64_t i = 0; i < count; ++i) {
-    uint32_t bits;
-    std::memcpy(&bits, &data[i], sizeof(bits));
-    for (int b = 0; b < 4; ++b) {
-      *h ^= (bits >> (8 * b)) & 0xffu;
-      *h *= 1099511628211ull;
-    }
+constexpr uint64_t kFnvOffset = 1469598103934665603ull;
+
+// FNV-1a over raw bytes (little-endian): any single-ULP difference between
+// the resident and streamed paths flips the digest.
+void HashBytes(uint64_t* h, const void* data, size_t bytes) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < bytes; ++i) {
+    *h ^= p[i];
+    *h *= 1099511628211ull;
   }
 }
 
+void HashBits(uint64_t* h, const float* data, int64_t count) {
+  HashBytes(h, data, static_cast<size_t>(count) * sizeof(float));
+}
+
+// Digest of a whole CSR (row_ptr, col_idx, values), fed row-range views in
+// row order: one whole-matrix view, or a store's segments.
+struct CsrDigest {
+  uint64_t cols = kFnvOffset;
+  uint64_t vals = kFnvOffset;
+
+  void Add(const CsrSegmentView& v) {
+    HashBytes(&cols, v.col_idx, static_cast<size_t>(v.nnz) * sizeof(int32_t));
+    HashBits(&vals, v.values, v.nnz);
+  }
+  uint64_t Finish(const std::vector<int64_t>& row_ptr) const {
+    uint64_t h = kFnvOffset;
+    HashBytes(&h, row_ptr.data(), row_ptr.size() * sizeof(int64_t));
+    HashBytes(&h, &cols, sizeof(cols));
+    HashBytes(&h, &vals, sizeof(vals));
+    return h;
+  }
+};
+
+uint64_t ResidentCsrDigest(const CsrMatrix& m) {
+  CsrDigest d;
+  d.Add(m.View());
+  return d.Finish(m.row_ptr());
+}
+
+uint64_t StreamedCsrDigest(const ShardedCsr& m) {
+  CsrDigest d;
+  SequentialCursor cursor(m);
+  for (int64_t s = 0; s < m.NumSegments(); ++s) {
+    StatusOr<PinnedSegment> pin = cursor.Next();
+    MCOND_CHECK(pin.ok());
+    d.Add(pin.value().view());
+  }
+  return d.Finish(m.row_ptr());
+}
+
+uint64_t EdgeDigest(const EdgeBatch& b) {
+  uint64_t h = kFnvOffset;
+  HashBytes(&h, b.src.data(), b.src.size() * sizeof(int64_t));
+  HashBytes(&h, b.dst.data(), b.dst.size() * sizeof(int64_t));
+  HashBits(&h, b.target.data(), b.size());
+  return h;
+}
+
 uint64_t BitChecksum(const Tensor& t) {
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = kFnvOffset;
   HashBits(&h, t.data(), t.size());
   return h;
 }
 
 uint64_t BitChecksum(const std::vector<float>& v) {
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = kFnvOffset;
   HashBits(&h, v.data(), static_cast<int64_t>(v.size()));
   return h;
 }
 
 uint64_t CondenseDigest(const MCondResult& r) {
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = kFnvOffset;
   HashBits(&h, r.synthetic_features.data(), r.synthetic_features.size());
   HashBits(&h, r.dense_adjacency.data(), r.dense_adjacency.size());
   HashBits(&h, r.s_loss_history.data(),
@@ -125,20 +175,24 @@ int RunSmoke() {
     return 1;
   }
 
+  // ShardGraph writes normalized.mcss from the resident matrix; the streamed
+  // digest comes from ShardedSymNormalize over the adjacency store.
   std::printf("resident_sym_normalize %016" PRIx64 "\n",
               BitChecksum(train.normalized_adjacency().values()));
-  std::printf("streamed_sym_normalize %016" PRIx64 "\n",
-              [&] {
-                uint64_t h = 1469598103934665603ull;
-                const ShardedCsr& norm = *sharded.value().normalized;
-                SequentialCursor cursor(norm);
-                for (int64_t s = 0; s < norm.NumSegments(); ++s) {
-                  StatusOr<PinnedSegment> pin = cursor.Next();
-                  MCOND_CHECK(pin.ok());
-                  HashBits(&h, pin.value().values(), pin.value().view().nnz);
-                }
-                return h;
-              }());
+  {
+    StatusOr<ShardedCsr> norm = ShardedSymNormalize(
+        *sharded.value().adjacency, dir + "/streamed_norm.mcss", options,
+        /*mem_budget_bytes=*/4096);
+    MCOND_CHECK(norm.ok());
+    uint64_t h = kFnvOffset;
+    SequentialCursor cursor(norm.value());
+    for (int64_t s = 0; s < norm.value().NumSegments(); ++s) {
+      StatusOr<PinnedSegment> pin = cursor.Next();
+      MCOND_CHECK(pin.ok());
+      HashBits(&h, pin.value().values(), pin.value().view().nnz);
+    }
+    std::printf("streamed_sym_normalize %016" PRIx64 "\n", h);
+  }
 
   std::printf("resident_spmm %016" PRIx64 "\n",
               BitChecksum(train.normalized_adjacency().SpMM(train.features())));
@@ -163,6 +217,27 @@ int RunSmoke() {
   MCOND_CHECK(sprop.ok());
   std::printf("streamed_propagate %016" PRIx64 "\n",
               BitChecksum(sprop.value()));
+
+  std::printf("resident_compose %016" PRIx64 "\n",
+              ResidentCsrDigest(ComposeBlockAdjacency(
+                  train.adjacency(), split.val.links, split.val.inter)));
+  {
+    StatusOr<ShardedCsr> composed = ShardedComposeBlockAdjacency(
+        *sharded.value().adjacency, split.val.links, split.val.inter,
+        dir + "/composed.mcss", options, /*mem_budget_bytes=*/4096);
+    MCOND_CHECK(composed.ok());
+    std::printf("streamed_compose %016" PRIx64 "\n",
+                StreamedCsrDigest(composed.value()));
+  }
+
+  Rng resident_rng(31), streamed_rng(31);
+  std::printf("resident_edges %016" PRIx64 "\n",
+              EdgeDigest(SampleEdgeBatch(train.adjacency(), 64, 64,
+                                         resident_rng)));
+  StatusOr<EdgeBatch> edges = ShardedSampleEdgeBatch(
+      *sharded.value().adjacency, 64, 64, streamed_rng);
+  MCOND_CHECK(edges.ok());
+  std::printf("streamed_edges %016" PRIx64 "\n", EdgeDigest(edges.value()));
 
   MCondConfig mc;
   mc.outer_rounds = 1;

@@ -4,17 +4,13 @@
 #include <filesystem>
 
 #include "core/logging.h"
-#include "core/tensor_ops.h"
 #include "graph/compose.h"
 
 namespace mcond {
 
 std::vector<int64_t> ClassBlockedLabeledNodes(
     const std::vector<int64_t>& labels) {
-  std::vector<int64_t> out;
-  for (size_t i = 0; i < labels.size(); ++i) {
-    if (labels[i] >= 0) out.push_back(static_cast<int64_t>(i));
-  }
+  std::vector<int64_t> out = LabeledNodes(labels);
   std::sort(out.begin(), out.end(), [&](int64_t a, int64_t b) {
     const int64_t ca = labels[static_cast<size_t>(a)];
     const int64_t cb = labels[static_cast<size_t>(b)];
@@ -41,30 +37,22 @@ std::vector<std::pair<int64_t, int64_t>> ClassGradBlocks(
   return blocks;
 }
 
-std::vector<int64_t> CondenseSource::ClassCounts() const {
-  std::vector<int64_t> counts(static_cast<size_t>(num_classes()), 0);
-  for (int64_t y : labels()) {
-    if (y >= 0) counts[static_cast<size_t>(y)]++;
-  }
-  return counts;
-}
-
 namespace {
 
-Tensor PropagateSparse(const CsrMatrix& a_hat, const Tensor& x,
-                       int64_t depth) {
-  Tensor z = x;
-  for (int64_t i = 0; i < depth; ++i) z = a_hat.SpMM(z);
-  return z;
+/// The support block's rows N .. N + n_sup - 1 of the composed graph.
+std::vector<int64_t> SupportRows(int64_t n_orig, int64_t n_sup) {
+  std::vector<int64_t> rows(static_cast<size_t>(n_sup));
+  for (int64_t i = 0; i < n_sup; ++i) rows[static_cast<size_t>(i)] = n_orig + i;
+  return rows;
 }
 
 }  // namespace
 
 Tensor ResidentCondenseSource::PropagateNormalized(
     const Tensor& x, int64_t depth, const std::vector<int64_t>& keep) const {
-  Tensor z = PropagateSparse(graph_->normalized_adjacency(), x, depth);
-  if (keep.empty()) return z;
-  return GatherRows(z, keep);
+  return PropagateRows(ResidentSegments(graph_->normalized_adjacency()), x,
+                       depth, keep)
+      .value();
 }
 
 EdgeBatch ResidentCondenseSource::SampleEdges(int64_t num_pos,
@@ -75,13 +63,12 @@ EdgeBatch ResidentCondenseSource::SampleEdges(int64_t num_pos,
 
 Tensor ResidentCondenseSource::PropagateComposedSupportTail(
     const HeldOutBatch& support, int64_t depth) const {
-  const int64_t n_orig = graph_->NumNodes();
-  const CsrMatrix composed = ComposeBlockAdjacency(
-      graph_->adjacency(), support.links, support.inter);
-  const CsrMatrix composed_norm = SymNormalize(composed);
+  const CsrMatrix composed_norm = SymNormalize(ComposeBlockAdjacency(
+      graph_->adjacency(), support.links, support.inter));
   const Tensor x_all = ComposeFeatures(graph_->features(), support.features);
-  const Tensor z_all = PropagateSparse(composed_norm, x_all, depth);
-  return SliceRows(z_all, n_orig, n_orig + support.size());
+  return PropagateRows(ResidentSegments(composed_norm), x_all, depth,
+                       SupportRows(graph_->NumNodes(), support.size()))
+      .value();
 }
 
 ShardedCondenseSource::ShardedCondenseSource(const ShardedGraph& graph,
@@ -123,11 +110,6 @@ Tensor ShardedCondenseSource::PropagateComposedSupportTail(
   const std::string composed_path = scratch_dir_ + "/composed.mcss";
   const std::string norm_path = scratch_dir_ + "/composed_norm.mcss";
 
-  const int64_t n_orig = graph_->NumNodes();
-  const int64_t n_sup = support.size();
-  std::vector<int64_t> keep(static_cast<size_t>(n_sup));
-  for (int64_t i = 0; i < n_sup; ++i) keep[static_cast<size_t>(i)] = n_orig + i;
-
   Tensor z_tail;
   {
     StatusOr<ShardedCsr> composed = ShardedComposeBlockAdjacency(
@@ -141,7 +123,8 @@ Tensor ShardedCondenseSource::PropagateComposedSupportTail(
                                     << composed_norm.status().ToString();
     const Tensor x_all = ComposeFeatures(graph_->features, support.features);
     StatusOr<Tensor> z =
-        ShardedPropagate(composed_norm.value(), x_all, depth, keep);
+        ShardedPropagate(composed_norm.value(), x_all, depth,
+                         SupportRows(graph_->NumNodes(), support.size()));
     MCOND_CHECK(z.ok()) << "sharded composed propagate failed: "
                         << z.status().ToString();
     z_tail = std::move(z).value();

@@ -35,8 +35,8 @@ std::vector<std::pair<int64_t, int64_t>> ClassGradBlocks(
 /// What the MCond loop needs from the original graph T, abstracted so the
 /// same alternating optimization runs against a resident Graph or an
 /// out-of-core ShardedGraph. The two implementations are bit-identical on
-/// the same graph: only the kernels differ, and the streamed kernels carry
-/// the resident kernels' exactness contract (graph/sharded_ops.h).
+/// the same graph: both forward into the same row bodies, over one
+/// whole-matrix view or over pinned segments (graph/sharded_ops.h).
 ///
 /// Streamed-IO failures inside a source are fatal (MCOND_CHECK): the
 /// condense loop has no mid-round recovery story, and Open-time validation
@@ -52,8 +52,8 @@ class CondenseSource {
   virtual const std::vector<int64_t>& labels() const = 0;
 
   /// Â^depth X over the sym-normalized adjacency. With a non-empty `keep`,
-  /// row i of the result is propagated row keep[i] — and implementations
-  /// may avoid materializing the final full N×d hop.
+  /// row i of the result is propagated row keep[i], and the final hop
+  /// computes only the kept rows (PropagateRows).
   virtual Tensor PropagateNormalized(
       const Tensor& x, int64_t depth,
       const std::vector<int64_t>& keep = {}) const = 0;
@@ -69,12 +69,13 @@ class CondenseSource {
   virtual Tensor PropagateComposedSupportTail(const HeldOutBatch& support,
                                               int64_t depth) const = 0;
 
-  std::vector<int64_t> ClassCounts() const;
+  std::vector<int64_t> ClassCounts() const {
+    return mcond::ClassCounts(labels(), num_classes());
+  }
 };
 
-/// Everything in-memory: delegates to the cached normalized adjacency and
-/// the resident compose/normalize/sample kernels, exactly as RunMCond did
-/// before this abstraction existed.
+/// Everything in-memory: the cached normalized adjacency and the resident
+/// compose/normalize/sample kernels.
 class ResidentCondenseSource : public CondenseSource {
  public:
   explicit ResidentCondenseSource(const Graph& graph) : graph_(&graph) {}

@@ -11,17 +11,59 @@
 
 namespace mcond {
 
-namespace {
-
 using internal::KernelScope;
 
-/// Grain so each SpMM chunk gets ~64K float-ops even on very sparse rows.
-int64_t SpmmGrain(int64_t rows, int64_t nnz, int64_t d) {
+int64_t CsrRowGrain(int64_t rows, int64_t nnz, int64_t d) {
   const int64_t cost_per_row = 2 * d * (nnz / std::max<int64_t>(rows, 1) + 1);
   return GrainFromCost(cost_per_row);
 }
 
-}  // namespace
+void SpmmViewRows(const CsrSegmentView& a, const Tensor& x, int64_t r0,
+                  int64_t r1, float* y) {
+  const int64_t d = x.cols();
+  // Shifting row_ptr keeps its entries absolute offsets into col_idx/values,
+  // so the kernels see rows [0, r1 - r0) that write from y onwards.
+  const int64_t* row_ptr = a.row_ptr + r0;
+  if (simd::UseAvx2()) {
+    simd::Avx2SpmmRows(row_ptr, a.col_idx, a.values, x.data(), y, d, 0,
+                       r1 - r0);
+    return;
+  }
+  for (int64_t r = 0; r < r1 - r0; ++r) {
+    float* yrow = y + r * d;
+    std::fill(yrow, yrow + d, 0.0f);
+    for (int64_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      const float v = a.values[k];
+      const float* xrow = x.RowData(a.col_idx[k]);
+      for (int64_t j = 0; j < d; ++j) yrow[j] += v * xrow[j];
+    }
+  }
+}
+
+void SpmmView(const CsrSegmentView& a, const Tensor& x, float* y,
+              int64_t grain, const char* name) {
+  const int64_t d = x.cols();
+  ParallelFor(
+      0, a.NumRows(), grain,
+      [&](int64_t r0, int64_t r1) { SpmmViewRows(a, x, r0, r1, y + r0 * d); },
+      name);
+}
+
+void RowSumsView(const CsrSegmentView& a, float* out, int64_t grain,
+                 const char* name) {
+  ParallelFor(
+      0, a.NumRows(), grain,
+      [&](int64_t r0, int64_t r1) {
+        for (int64_t r = r0; r < r1; ++r) {
+          double acc = 0.0;
+          for (int64_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
+            acc += a.values[k];
+          }
+          out[r] = static_cast<float>(acc);
+        }
+      },
+      name);
+}
 
 CsrMatrix CsrMatrix::FromTriplets(int64_t rows, int64_t cols,
                                   std::vector<Triplet> triplets) {
@@ -164,20 +206,9 @@ bool CsrMatrix::HasEntry(int64_t r, int64_t c) const {
 }
 
 std::vector<float> CsrMatrix::RowSums() const {
-  std::vector<float> sums(static_cast<size_t>(rows_), 0.0f);
-  ParallelFor(
-      0, rows_, SpmmGrain(rows_, Nnz(), /*d=*/1),
-      [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          double acc = 0.0;
-          for (int64_t k = row_ptr_[static_cast<size_t>(r)];
-               k < row_ptr_[static_cast<size_t>(r) + 1]; ++k) {
-            acc += values_[static_cast<size_t>(k)];
-          }
-          sums[static_cast<size_t>(r)] = static_cast<float>(acc);
-        }
-      },
-      "core.row_sums");
+  std::vector<float> sums(static_cast<size_t>(rows_));
+  RowSumsView(View(), sums.data(), CsrRowGrain(rows_, Nnz(), /*d=*/1),
+              "core.row_sums");
   return sums;
 }
 
@@ -185,61 +216,15 @@ Tensor CsrMatrix::SpMM(const Tensor& x) const {
   MCOND_CHECK_EQ(cols_, x.rows()) << "SpMM shape mismatch";
   const int64_t d = x.cols();
   KernelScope scope("core.spmm", "mcond.kernel.spmm_us", 2 * Nnz() * d);
-  // The AVX2 gather kernel is bit-identical to the scalar loop (ascending-k
-  // multiply-then-add) and writes every element of its rows, so the output
-  // may start uninitialized on that path.
-  const bool use_avx2 = simd::UseAvx2();
-  Tensor y = use_avx2 ? Tensor::Uninitialized(rows_, d) : Tensor(rows_, d);
-  ParallelFor(
-      0, rows_, SpmmGrain(rows_, Nnz(), d),
-      [&](int64_t r0, int64_t r1) {
-        if (use_avx2) {
-          simd::Avx2SpmmRows(row_ptr_.data(), col_idx_.data(), values_.data(),
-                             x.data(), y.data(), d, r0, r1);
-          return;
-        }
-        for (int64_t r = r0; r < r1; ++r) {
-          float* yrow = y.RowData(r);
-          for (int64_t k = row_ptr_[static_cast<size_t>(r)];
-               k < row_ptr_[static_cast<size_t>(r) + 1]; ++k) {
-            const float v = values_[static_cast<size_t>(k)];
-            const float* xrow = x.RowData(col_idx_[static_cast<size_t>(k)]);
-            for (int64_t j = 0; j < d; ++j) yrow[j] += v * xrow[j];
-          }
-        }
-      },
-      "core.spmm");
+  // The row body writes every element of its rows on both tiers, so the
+  // output starts uninitialized.
+  Tensor y = Tensor::Uninitialized(rows_, d);
+  SpmmView(View(), x, y.data(), CsrRowGrain(rows_, Nnz(), d), "core.spmm");
   return y;
 }
 
-const CsrMatrix::TransposedView& CsrMatrix::EnsureTransposedView() const {
-  if (tview_) return *tview_;
-  MCOND_CHECK_LE(rows_, std::numeric_limits<int32_t>::max());
-  auto view = std::make_shared<TransposedView>();
-  const size_t nnz = values_.size();
-  view->col_ptr.assign(static_cast<size_t>(cols_) + 1, 0);
-  for (const int32_t c : col_idx_) {
-    ++view->col_ptr[static_cast<size_t>(c) + 1];
-  }
-  for (size_t c = 1; c < view->col_ptr.size(); ++c) {
-    view->col_ptr[c] += view->col_ptr[c - 1];
-  }
-  view->src_row.resize(nnz);
-  view->values.resize(nnz);
-  // Walking rows in ascending order fills each column's slice in ascending
-  // source-row order — the property SpMMTransposed's determinism rests on.
-  std::vector<int64_t> cursor(view->col_ptr.begin(),
-                              view->col_ptr.end() - 1);
-  for (int64_t r = 0; r < rows_; ++r) {
-    for (int64_t k = row_ptr_[static_cast<size_t>(r)];
-         k < row_ptr_[static_cast<size_t>(r) + 1]; ++k) {
-      const size_t c = static_cast<size_t>(col_idx_[static_cast<size_t>(k)]);
-      const size_t pos = static_cast<size_t>(cursor[c]++);
-      view->src_row[pos] = static_cast<int32_t>(r);
-      view->values[pos] = values_[static_cast<size_t>(k)];
-    }
-  }
-  tview_ = std::move(view);
+const CsrMatrix& CsrMatrix::CachedTranspose() const {
+  if (!tview_) tview_ = std::make_shared<const CsrMatrix>(Transpose());
   return *tview_;
 }
 
@@ -247,31 +232,10 @@ Tensor CsrMatrix::SpMMTransposed(const Tensor& x) const {
   MCOND_CHECK_EQ(rows_, x.rows()) << "SpMMTransposed shape mismatch";
   const int64_t d = x.cols();
   KernelScope scope("core.spmm_t", "mcond.kernel.spmm_t_us", 2 * Nnz() * d);
-  const TransposedView& tv = EnsureTransposedView();
-  const bool use_avx2 = simd::UseAvx2();
-  Tensor y = use_avx2 ? Tensor::Uninitialized(cols_, d) : Tensor(cols_, d);
-  ParallelFor(
-      0, cols_, SpmmGrain(cols_, Nnz(), d),
-      [&](int64_t c0, int64_t c1) {
-        if (use_avx2) {
-          // The CSC view is the same (ptr, idx, values) shape as CSR, so the
-          // row-gather kernel serves both orientations.
-          simd::Avx2SpmmRows(tv.col_ptr.data(), tv.src_row.data(),
-                             tv.values.data(), x.data(), y.data(), d, c0, c1);
-          return;
-        }
-        for (int64_t c = c0; c < c1; ++c) {
-          float* yrow = y.RowData(c);
-          for (int64_t k = tv.col_ptr[static_cast<size_t>(c)];
-               k < tv.col_ptr[static_cast<size_t>(c) + 1]; ++k) {
-            const float v = tv.values[static_cast<size_t>(k)];
-            const float* xrow =
-                x.RowData(tv.src_row[static_cast<size_t>(k)]);
-            for (int64_t j = 0; j < d; ++j) yrow[j] += v * xrow[j];
-          }
-        }
-      },
-      "core.spmm_t");
+  const CsrMatrix& t = CachedTranspose();
+  Tensor y = Tensor::Uninitialized(cols_, d);
+  SpmmView(t.View(), x, y.data(), CsrRowGrain(cols_, Nnz(), d),
+           "core.spmm_t");
   return y;
 }
 
@@ -308,16 +272,31 @@ Tensor CsrMatrix::SpMMTransposedSerial(const Tensor& x) const {
 }
 
 CsrMatrix CsrMatrix::Transpose() const {
-  std::vector<Triplet> t;
-  t.reserve(values_.size());
+  MCOND_CHECK_LE(rows_, std::numeric_limits<int32_t>::max());
+  CsrMatrix t;
+  t.rows_ = cols_;
+  t.cols_ = rows_;
+  t.row_ptr_.assign(static_cast<size_t>(cols_) + 1, 0);
+  for (const int32_t c : col_idx_) ++t.row_ptr_[static_cast<size_t>(c) + 1];
+  for (size_t c = 1; c < t.row_ptr_.size(); ++c) {
+    t.row_ptr_[c] += t.row_ptr_[c - 1];
+  }
+  t.col_idx_.resize(col_idx_.size());
+  t.values_.resize(values_.size());
+  // Walking rows in ascending order fills each column's slice in ascending
+  // source-row order: the columns of every transposed row ascend, and
+  // SpMMTransposed keeps the serial ascending-source-row accumulation.
+  std::vector<int64_t> cursor(t.row_ptr_.begin(), t.row_ptr_.end() - 1);
   for (int64_t r = 0; r < rows_; ++r) {
     for (int64_t k = row_ptr_[static_cast<size_t>(r)];
          k < row_ptr_[static_cast<size_t>(r) + 1]; ++k) {
-      t.push_back({col_idx_[static_cast<size_t>(k)], r,
-                   values_[static_cast<size_t>(k)]});
+      const size_t c = static_cast<size_t>(col_idx_[static_cast<size_t>(k)]);
+      const size_t pos = static_cast<size_t>(cursor[c]++);
+      t.col_idx_[pos] = static_cast<int32_t>(r);
+      t.values_[pos] = values_[static_cast<size_t>(k)];
     }
   }
-  return FromTriplets(cols_, rows_, std::move(t));
+  return t;
 }
 
 CsrMatrix CsrMatrix::Multiply(const CsrMatrix& a, const CsrMatrix& b) {

@@ -9,6 +9,45 @@
 
 namespace mcond {
 
+/// Read-only view of rows [row_begin, row_end) of a CSR matrix: the one
+/// thing every CSR kernel body iterates. `row_ptr` is LOCAL to the view
+/// ((row_end - row_begin + 1) entries, row_ptr[0] == 0), and output row r of
+/// a body lands at global row row_begin + r. A resident CsrMatrix is the
+/// one-segment case (CsrMatrix::View); a ShardedCsr hands out one view per
+/// pinned on-disk segment (core/sharded_csr.h).
+struct CsrSegmentView {
+  int64_t index = 0;
+  int64_t row_begin = 0;
+  int64_t row_end = 0;
+  int64_t nnz = 0;
+  const int64_t* row_ptr = nullptr;
+  const int32_t* col_idx = nullptr;
+  const float* values = nullptr;
+
+  int64_t NumRows() const { return row_end - row_begin; }
+};
+
+/// Chunk grain for the CSR row kernels: ~64K float-ops per chunk even on
+/// very sparse rows. Grain never changes bits, only chunk economics.
+int64_t CsrRowGrain(int64_t rows, int64_t nnz, int64_t d);
+
+/// The SpMM row body: output rows [r0, r1) of Y = view · X, row r written to
+/// y + (r - r0)·d. Every element of those rows is written (y may start
+/// uninitialized). Scalar ascending-k multiply-then-add, or the AVX2 gather
+/// kernel when that tier is active — bit-identical to the scalar loop.
+void SpmmViewRows(const CsrSegmentView& a, const Tensor& x, int64_t r0,
+                  int64_t r1, float* y);
+
+/// Y = view · X for every row of the view, row-parallel; `y` points at the
+/// output of the view's first row.
+void SpmmView(const CsrSegmentView& a, const Tensor& x, float* y,
+              int64_t grain, const char* name);
+
+/// Per-row sums of the view (double accumulator over ascending columns),
+/// row-parallel; `out` points at the sum of the view's first row.
+void RowSumsView(const CsrSegmentView& a, float* out, int64_t grain,
+                 const char* name);
+
 /// A single (row, col, value) entry used to assemble sparse matrices.
 struct Triplet {
   int64_t row = 0;
@@ -29,7 +68,7 @@ class CsrMatrix {
   /// Constructs an empty 0×0 matrix.
   CsrMatrix() : rows_(0), cols_(0), row_ptr_(1, 0) {}
 
-  /// Copies share no derived state: the lazily-built transposed view is
+  /// Copies share no derived state: the lazily-built transpose is
   /// dropped so a copy that later mutates values (Scaled, mutable_values)
   /// cannot observe a stale cache. Moves transfer the cache.
   CsrMatrix(const CsrMatrix& other)
@@ -93,6 +132,14 @@ class CsrMatrix {
   const std::vector<int64_t>& row_ptr() const { return row_ptr_; }
   const std::vector<int32_t>& col_idx() const { return col_idx_; }
   const std::vector<float>& values() const { return values_; }
+  /// The whole matrix as one segment. With a non-zero `row_begin` the rows
+  /// stand for rows [row_begin, row_begin + rows()) of a larger matrix (a
+  /// segment-local block built from a pinned segment).
+  CsrSegmentView View(int64_t row_begin = 0) const {
+    return {/*index=*/0,     row_begin,       row_begin + rows_,
+            Nnz(),           row_ptr_.data(), col_idx_.data(),
+            values_.data()};
+  }
   std::vector<float>& mutable_values() {
     tview_.reset();  // Derived caches no longer match once values change.
     return values_;
@@ -122,20 +169,22 @@ class CsrMatrix {
   /// exactly (core/simd.h).
   Tensor SpMM(const Tensor& x) const;
 
-  /// Y = thisᵀ · X. Gather-parallel over OUTPUT rows via a lazily built
-  /// (and cached) transposed index, so there are no scatter races and each
-  /// output element keeps the serial ascending-source-row accumulation
-  /// order — bit-identical to SpMMTransposedSerial at every thread count.
-  /// The cached index makes repeated backward passes O(nnz·d) with no
-  /// rebuild; building is not safe to race from two threads' FIRST calls
-  /// on the same matrix (kernels are dispatched from one thread here).
+  /// Y = thisᵀ · X: the SpMM row body over a lazily built (and cached)
+  /// Transpose(). Gather-parallel over OUTPUT rows, so there are no scatter
+  /// races and each output element keeps the serial ascending-source-row
+  /// accumulation order — bit-identical to SpMMTransposedSerial at every
+  /// thread count. The cached transpose makes repeated backward passes
+  /// O(nnz·d) with no rebuild; building is not safe to race from two
+  /// threads' FIRST calls on the same matrix (kernels are dispatched from
+  /// one thread here).
   Tensor SpMMTransposed(const Tensor& x) const;
 
   /// Retained single-threaded reference kernels (tests, bench baselines).
   Tensor SpMMSerial(const Tensor& x) const;
   Tensor SpMMTransposedSerial(const Tensor& x) const;
 
-  /// Structural transpose.
+  /// Transpose by a counting sort over columns: row c of the result lists
+  /// the source rows of column c in ascending order.
   CsrMatrix Transpose() const;
 
   /// C = A · B for two sparse matrices (SpGEMM). Used at serving time to
@@ -160,23 +209,16 @@ class CsrMatrix {
   bool HasEntry(int64_t r, int64_t c) const;
 
  private:
-  /// CSC-style view of this matrix: for each column, the source rows (in
-  /// ascending order) and values of the entries in that column. Built
-  /// lazily by SpMMTransposed, invalidated by mutation (copy ctor,
-  /// mutable_values).
-  struct TransposedView {
-    std::vector<int64_t> col_ptr;  // cols_ + 1 offsets
-    std::vector<int32_t> src_row;  // ascending within each column
-    std::vector<float> values;
-  };
-  const TransposedView& EnsureTransposedView() const;
+  /// Transpose() cached by SpMMTransposed, invalidated by mutation (copy
+  /// ctor, mutable_values).
+  const CsrMatrix& CachedTranspose() const;
 
   int64_t rows_;
   int64_t cols_;
   std::vector<int64_t> row_ptr_;
   std::vector<int32_t> col_idx_;
   std::vector<float> values_;
-  mutable std::shared_ptr<const TransposedView> tview_;
+  mutable std::shared_ptr<const CsrMatrix> tview_;
 };
 
 }  // namespace mcond

@@ -495,17 +495,6 @@ int64_t ShardedCsr::SegmentForRow(int64_t r) const {
   return static_cast<int64_t>(it - segments_.begin());
 }
 
-int64_t ShardedCsr::SegmentForSlot(int64_t k) const {
-  MCOND_CHECK(k >= 0 && k < nnz_);
-  const auto it = std::upper_bound(
-      segments_.begin(), segments_.end(), k,
-      [](int64_t slot, const Segment& s) {
-        return slot < s.nnz_begin + s.nnz;
-      });
-  MCOND_CHECK(it != segments_.end());
-  return static_cast<int64_t>(it - segments_.begin());
-}
-
 StatusOr<PinnedSegment> ShardedCsr::Pin(int64_t index) const {
   if (index < 0 || index >= NumSegments()) {
     return Status::OutOfRange("sharded csr: segment index out of range");

@@ -24,22 +24,6 @@ struct ShardOptions {
   int64_t max_rows_per_segment = 0;
 };
 
-/// Read-only view of one mapped segment. `row_ptr` is LOCAL to the segment
-/// ((row_end - row_begin + 1) entries, row_ptr[0] == 0), so it can be handed
-/// to the same chunk kernels that consume a whole-matrix CSR, with outputs
-/// offset by row_begin.
-struct CsrSegmentView {
-  int64_t index = 0;
-  int64_t row_begin = 0;
-  int64_t row_end = 0;
-  int64_t nnz = 0;
-  const int64_t* row_ptr = nullptr;
-  const int32_t* col_idx = nullptr;
-  const float* values = nullptr;
-
-  int64_t NumRows() const { return row_end - row_begin; }
-};
-
 namespace internal {
 struct ShardedCsrState;
 }  // namespace internal
@@ -187,9 +171,8 @@ class ShardedCsr {
            global_row_ptr_[static_cast<size_t>(r)];
   }
 
-  /// Index of the segment containing row `r` / CSR slot `k`.
+  /// Index of the segment containing row `r`.
   int64_t SegmentForRow(int64_t r) const;
-  int64_t SegmentForSlot(int64_t k) const;
 
   /// Maps (if needed) and pins the segment. The returned view's arrays stay
   /// valid until the PinnedSegment is destroyed.

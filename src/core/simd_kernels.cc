@@ -465,10 +465,11 @@ void Avx2SoftmaxRows(const float* src, float* dst, int64_t cols, int64_t i0,
 }
 
 void Avx2SymNormalizeRows(const int64_t* row_ptr, const int32_t* col_idx,
-                          const float* v, const float* dinv_sqrt, float* out,
-                          int64_t r0, int64_t r1) {
+                          const float* v, const float* row_scale,
+                          const float* col_scale, float* out, int64_t r0,
+                          int64_t r1) {
   for (int64_t r = r0; r < r1; ++r) {
-    const float dr = dinv_sqrt[r];
+    const float dr = row_scale[r];
     const __m256 drv = _mm256_set1_ps(dr);
     const int64_t kb = row_ptr[r];
     const int64_t ke = row_ptr[r + 1];
@@ -476,13 +477,13 @@ void Avx2SymNormalizeRows(const int64_t* row_ptr, const int32_t* col_idx,
     for (; kk + 8 <= ke; kk += 8) {
       const __m256i idx = _mm256_loadu_si256(
           reinterpret_cast<const __m256i*>(col_idx + kk));
-      const __m256 dc = _mm256_i32gather_ps(dinv_sqrt, idx, 4);
+      const __m256 dc = _mm256_i32gather_ps(col_scale, idx, 4);
       // (v * dr) * dinv[col]: same association as the scalar rescale.
       const __m256 vdr = _mm256_mul_ps(_mm256_loadu_ps(v + kk), drv);
       _mm256_storeu_ps(out + kk, _mm256_mul_ps(vdr, dc));
     }
     for (; kk < ke; ++kk) {
-      out[kk] = v[kk] * dr * dinv_sqrt[static_cast<size_t>(col_idx[kk])];
+      out[kk] = v[kk] * dr * col_scale[static_cast<size_t>(col_idx[kk])];
     }
   }
 }
@@ -527,7 +528,8 @@ void Avx2SoftmaxRows(const float*, float*, int64_t, int64_t, int64_t) {
   std::abort();
 }
 void Avx2SymNormalizeRows(const int64_t*, const int32_t*, const float*,
-                          const float*, float*, int64_t, int64_t) {
+                          const float*, const float*, float*, int64_t,
+                          int64_t) {
   std::abort();
 }
 

@@ -71,12 +71,14 @@ void Avx2AddRowInPlace(float* row, const float* r, int64_t n);
 void Avx2SoftmaxRows(const float* src, float* dst, int64_t cols, int64_t i0,
                      int64_t i1);
 
-/// out[k] = v[k] * dinv_sqrt[r] * dinv_sqrt[col_idx[k]] for every stored
-/// entry of rows [r0, r1) — the SymNormalize rescale, with a vector gather
-/// on the column factor. Bit-identical to the scalar loop.
+/// out[k] = v[k] * row_scale[r] * col_scale[col_idx[k]] for every stored
+/// entry of rows [r0, r1) — the SymNormalize rescale (both scales are
+/// D^{-1/2}; row_scale is offset to a segment's first row), with a vector
+/// gather on the column factor. Bit-identical to the scalar loop.
 void Avx2SymNormalizeRows(const int64_t* row_ptr, const int32_t* col_idx,
-                          const float* v, const float* dinv_sqrt, float* out,
-                          int64_t r0, int64_t r1);
+                          const float* v, const float* row_scale,
+                          const float* col_scale, float* out, int64_t r0,
+                          int64_t r1);
 
 }  // namespace simd
 }  // namespace mcond

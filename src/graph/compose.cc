@@ -1,6 +1,6 @@
 #include "graph/compose.h"
 
-#include <cstring>
+#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -10,14 +10,33 @@
 
 namespace mcond {
 
-// Direct CSR assembly: the block structure is already canonically ordered
-// (per base row: base columns < N, then transpose columns N+i with i
-// ascending; per batch row: links columns < N, then inter columns + N), and
-// no coordinate can appear in two blocks, so the triplet sort-and-merge the
-// old implementation paid is pure overhead. Row copies are parallel; only
-// the O(nnz(links)) transpose scatter stays serial (its iteration order is
-// what makes the appended columns ascend). Output is bit-identical to the
-// FromTriplets path.
+int64_t BlockRowNnz(const CsrSegmentView& left, int64_t r,
+                    const CsrMatrix& right) {
+  return left.row_ptr[r + 1] - left.row_ptr[r] +
+         right.RowNnz(left.row_begin + r);
+}
+
+int64_t WriteBlockRow(const CsrSegmentView& left, int64_t r,
+                      const CsrMatrix& right, int64_t offset, int32_t* cols,
+                      float* vals) {
+  const int64_t begin = left.row_ptr[r];
+  const int64_t n = left.row_ptr[r + 1] - begin;
+  std::copy_n(left.col_idx + begin, n, cols);
+  std::copy_n(left.values + begin, n, vals);
+  const size_t rr = static_cast<size_t>(left.row_begin + r);
+  int64_t dst = n;
+  for (int64_t k = right.row_ptr()[rr]; k < right.row_ptr()[rr + 1]; ++k) {
+    cols[dst] = static_cast<int32_t>(
+        offset + right.col_idx()[static_cast<size_t>(k)]);
+    vals[dst] = right.values()[static_cast<size_t>(k)];
+    ++dst;
+  }
+  return dst;
+}
+
+// Direct CSR assembly: every block row is already canonically ordered (left
+// columns < N, then right columns + N), and no coordinate can appear in two
+// blocks, so rows are written in place, in parallel.
 CsrMatrix ComposeBlockAdjacency(const CsrMatrix& base, const CsrMatrix& links,
                                 const CsrMatrix& inter) {
   MCOND_TRACE_SPAN("graph.compose_block_adjacency");
@@ -26,91 +45,37 @@ CsrMatrix ComposeBlockAdjacency(const CsrMatrix& base, const CsrMatrix& links,
   MCOND_CHECK_EQ(inter.rows(), links.rows());
   MCOND_CHECK_EQ(inter.cols(), links.rows());
   const int64_t big_n = base.rows();
-  const int64_t small_n = links.rows();
-  const int64_t total = big_n + small_n;
+  const int64_t total = big_n + links.rows();
   MCOND_CHECK_LE(total, std::numeric_limits<int32_t>::max());
 
-  // Per-base-row count of transpose entries (links column histogram).
-  std::vector<int64_t> extra(static_cast<size_t>(big_n), 0);
-  for (const int32_t c : links.col_idx()) ++extra[static_cast<size_t>(c)];
-
-  std::vector<int64_t> row_ptr(static_cast<size_t>(total) + 1);
-  row_ptr[0] = 0;
-  for (int64_t r = 0; r < big_n; ++r) {
-    row_ptr[static_cast<size_t>(r) + 1] = row_ptr[static_cast<size_t>(r)] +
-                                          base.RowNnz(r) +
-                                          extra[static_cast<size_t>(r)];
+  const CsrMatrix links_t = links.Transpose();
+  const CsrSegmentView base_rows = base.View();
+  const CsrSegmentView batch_rows = links.View();
+  std::vector<int64_t> row_ptr(static_cast<size_t>(total) + 1, 0);
+  for (int64_t r = 0; r < total; ++r) {
+    row_ptr[static_cast<size_t>(r) + 1] =
+        row_ptr[static_cast<size_t>(r)] +
+        (r < big_n ? BlockRowNnz(base_rows, r, links_t)
+                   : BlockRowNnz(batch_rows, r - big_n, inter));
   }
-  for (int64_t i = 0; i < small_n; ++i) {
-    row_ptr[static_cast<size_t>(big_n + i) + 1] =
-        row_ptr[static_cast<size_t>(big_n + i)] + links.RowNnz(i) +
-        inter.RowNnz(i);
-  }
-  const int64_t nnz = row_ptr[static_cast<size_t>(total)];
+  const int64_t nnz = row_ptr.back();
   std::vector<int32_t> col_idx(static_cast<size_t>(nnz));
   std::vector<float> values(static_cast<size_t>(nnz));
-
-  // Top-left block: parallel row copies; cursor marks where the transpose
-  // entries will be appended.
-  std::vector<int64_t>& cursor = extra;  // reuse: overwritten per row below
-  const int64_t grain =
-      GrainFromCost(2 * (base.Nnz() / std::max<int64_t>(big_n, 1) + 1));
   ParallelFor(
-      0, big_n, grain,
+      0, total, GrainFromCost(2 * (nnz / std::max<int64_t>(total, 1) + 1)),
       [&](int64_t r0, int64_t r1) {
         for (int64_t r = r0; r < r1; ++r) {
-          const int64_t src = base.row_ptr()[static_cast<size_t>(r)];
-          const int64_t nb = base.RowNnz(r);
           const int64_t dst = row_ptr[static_cast<size_t>(r)];
-          std::memcpy(col_idx.data() + dst, base.col_idx().data() + src,
-                      static_cast<size_t>(nb) * sizeof(int32_t));
-          std::memcpy(values.data() + dst, base.values().data() + src,
-                      static_cast<size_t>(nb) * sizeof(float));
-          cursor[static_cast<size_t>(r)] = dst + nb;
-        }
-      },
-      "graph.compose_base_rows");
-
-  // Top-right block (linksᵀ): serial scatter in ascending links-row order,
-  // so appended columns big_n + r ascend within each base row.
-  for (int64_t r = 0; r < small_n; ++r) {
-    for (int64_t k = links.row_ptr()[static_cast<size_t>(r)];
-         k < links.row_ptr()[static_cast<size_t>(r) + 1]; ++k) {
-      const int32_t c = links.col_idx()[static_cast<size_t>(k)];
-      const int64_t pos = cursor[static_cast<size_t>(c)]++;
-      col_idx[static_cast<size_t>(pos)] = static_cast<int32_t>(big_n + r);
-      values[static_cast<size_t>(pos)] = links.values()[static_cast<size_t>(k)];
-    }
-  }
-
-  // Bottom blocks: links row then inter row (columns offset by big_n).
-  ParallelFor(
-      0, small_n,
-      GrainFromCost(2 * ((links.Nnz() + inter.Nnz()) /
-                             std::max<int64_t>(small_n, 1) +
-                         1)),
-      [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          int64_t dst = row_ptr[static_cast<size_t>(big_n + i)];
-          const int64_t lsrc = links.row_ptr()[static_cast<size_t>(i)];
-          const int64_t ln = links.RowNnz(i);
-          std::memcpy(col_idx.data() + dst, links.col_idx().data() + lsrc,
-                      static_cast<size_t>(ln) * sizeof(int32_t));
-          std::memcpy(values.data() + dst, links.values().data() + lsrc,
-                      static_cast<size_t>(ln) * sizeof(float));
-          dst += ln;
-          for (int64_t k = inter.row_ptr()[static_cast<size_t>(i)];
-               k < inter.row_ptr()[static_cast<size_t>(i) + 1]; ++k) {
-            col_idx[static_cast<size_t>(dst)] = static_cast<int32_t>(
-                big_n + inter.col_idx()[static_cast<size_t>(k)]);
-            values[static_cast<size_t>(dst)] =
-                inter.values()[static_cast<size_t>(k)];
-            ++dst;
+          if (r < big_n) {
+            WriteBlockRow(base_rows, r, links_t, big_n, col_idx.data() + dst,
+                          values.data() + dst);
+          } else {
+            WriteBlockRow(batch_rows, r - big_n, inter, big_n,
+                          col_idx.data() + dst, values.data() + dst);
           }
         }
       },
-      "graph.compose_batch_rows");
-
+      "graph.compose_rows");
   return CsrMatrix::FromParts(total, total, std::move(row_ptr),
                               std::move(col_idx), std::move(values),
                               /*validate=*/false);

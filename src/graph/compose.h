@@ -18,6 +18,18 @@ namespace mcond {
 CsrMatrix ComposeBlockAdjacency(const CsrMatrix& base, const CsrMatrix& links,
                                 const CsrMatrix& inter);
 
+/// The Eq. (3) block-row layout body, shared by the resident and the
+/// streamed composition: view row r of `left`, then row left.row_begin + r
+/// of `right` with its columns shifted by `offset`. Base rows are
+/// [base | N + linksᵀ] (linksᵀ = links.Transpose()), batch rows
+/// [links | N + inter]. BlockRowNnz sizes the row; WriteBlockRow writes it
+/// and returns the same count.
+int64_t BlockRowNnz(const CsrSegmentView& left, int64_t r,
+                    const CsrMatrix& right);
+int64_t WriteBlockRow(const CsrSegmentView& left, int64_t r,
+                      const CsrMatrix& right, int64_t offset, int32_t* cols,
+                      float* vals);
+
 /// Stacks base features over incoming-node features: the 𝕏 of Eq. (3)/(11).
 Tensor ComposeFeatures(const Tensor& base_features,
                        const Tensor& incoming_features);

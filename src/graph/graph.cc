@@ -12,62 +12,161 @@
 
 namespace mcond {
 
+namespace {
+
+int64_t RowCopyGrain(int64_t rows, int64_t nnz) {
+  return GrainFromCost(2 * (nnz / std::max<int64_t>(rows, 1) + 1));
+}
+
+/// Calls fn(col, value) for every entry of view row r of A + weight·I, in
+/// ascending column order.
+template <typename Fn>
+void ForEachSelfLoopEntry(const CsrSegmentView& a, int64_t r, float weight,
+                          const Fn& fn) {
+  const int64_t diag = a.row_begin + r;
+  bool seen_diag = false;
+  for (int64_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
+    const int32_t c = a.col_idx[k];
+    if (!seen_diag && c >= diag) {
+      if (c > diag) fn(diag, weight);
+      seen_diag = true;
+    }
+    fn(c, a.values[k]);
+  }
+  if (!seen_diag) fn(diag, weight);
+}
+
+}  // namespace
+
 CsrMatrix AddSelfLoops(const CsrMatrix& a, float weight) {
   MCOND_CHECK_EQ(a.rows(), a.cols()) << "self-loops need a square matrix";
-  std::vector<Triplet> t;
-  t.reserve(static_cast<size_t>(a.Nnz() + a.rows()));
-  for (int64_t r = 0; r < a.rows(); ++r) {
-    bool has_diag = false;
-    for (int64_t k = a.row_ptr()[static_cast<size_t>(r)];
-         k < a.row_ptr()[static_cast<size_t>(r) + 1]; ++k) {
-      const int64_t c = a.col_idx()[static_cast<size_t>(k)];
-      if (c == r) has_diag = true;
-      t.push_back({r, c, a.values()[static_cast<size_t>(k)]});
-    }
-    if (!has_diag) t.push_back({r, r, weight});
+  return AddSelfLoopRows(a.View(), a.cols(), weight);
+}
+
+CsrMatrix AddSelfLoopRows(const CsrSegmentView& a, int64_t cols,
+                          float weight) {
+  MCOND_CHECK_LE(a.row_end, cols) << "self-loop column out of range";
+  const int64_t rows = a.NumRows();
+  std::vector<int64_t> row_ptr(static_cast<size_t>(rows) + 1, 0);
+  for (int64_t r = 0; r < rows; ++r) {
+    int64_t count = 0;
+    ForEachSelfLoopEntry(a, r, weight, [&](int64_t, float) { ++count; });
+    row_ptr[static_cast<size_t>(r) + 1] =
+        row_ptr[static_cast<size_t>(r)] + count;
   }
-  return CsrMatrix::FromTriplets(a.rows(), a.cols(), std::move(t));
+  std::vector<int32_t> col_idx(static_cast<size_t>(row_ptr.back()));
+  std::vector<float> values(col_idx.size());
+  ParallelFor(
+      0, rows, RowCopyGrain(rows, a.nnz),
+      [&](int64_t r0, int64_t r1) {
+        for (int64_t r = r0; r < r1; ++r) {
+          size_t pos = static_cast<size_t>(row_ptr[static_cast<size_t>(r)]);
+          ForEachSelfLoopEntry(a, r, weight, [&](int64_t c, float v) {
+            col_idx[pos] = static_cast<int32_t>(c);
+            values[pos] = v;
+            ++pos;
+          });
+        }
+      },
+      "graph.add_self_loops");
+  return CsrMatrix::FromParts(rows, cols, std::move(row_ptr),
+                              std::move(col_idx), std::move(values),
+                              /*validate=*/false);
+}
+
+std::vector<float> InvSqrtDegrees(const std::vector<float>& deg) {
+  std::vector<float> dinv_sqrt(deg.size());
+  for (size_t i = 0; i < deg.size(); ++i) {
+    dinv_sqrt[i] = deg[i] > 0.0f ? 1.0f / std::sqrt(deg[i]) : 0.0f;
+  }
+  return dinv_sqrt;
+}
+
+void SymRescaleView(const CsrSegmentView& a,
+                    const std::vector<float>& dinv_sqrt, float* out) {
+  const float* row_scale = dinv_sqrt.data() + a.row_begin;
+  const float* col_scale = dinv_sqrt.data();
+  const bool use_avx2 = simd::UseAvx2();
+  ParallelFor(
+      0, a.NumRows(), RowCopyGrain(a.NumRows(), a.nnz),
+      [&](int64_t r0, int64_t r1) {
+        if (use_avx2) {
+          // Bit-identical to the loop below: same (v·dr)·dinv[col]
+          // association, vector gather on the column factor.
+          simd::Avx2SymNormalizeRows(a.row_ptr, a.col_idx, a.values,
+                                     row_scale, col_scale, out, r0, r1);
+          return;
+        }
+        for (int64_t r = r0; r < r1; ++r) {
+          const float dr = row_scale[r];
+          for (int64_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
+            out[k] = a.values[k] * dr * col_scale[a.col_idx[k]];
+          }
+        }
+      },
+      "graph.sym_normalize");
 }
 
 CsrMatrix SymNormalize(const CsrMatrix& a, bool add_self_loops) {
   MCOND_TRACE_SPAN("graph.sym_normalize");
   const CsrMatrix tilde = add_self_loops ? AddSelfLoops(a) : a;
-  const std::vector<float> deg = tilde.RowSums();
-  std::vector<float> dinv_sqrt(deg.size());
-  for (size_t i = 0; i < deg.size(); ++i) {
-    dinv_sqrt[i] = deg[i] > 0.0f ? 1.0f / std::sqrt(deg[i]) : 0.0f;
-  }
-  // Normalization never changes the sparsity structure — only the values —
-  // so rescale in place of the triplet rebuild (which re-sorts all nnz).
-  // Row-parallel: each chunk owns a disjoint slice of the value array.
-  const std::vector<int64_t>& rp = tilde.row_ptr();
-  const std::vector<int32_t>& ci = tilde.col_idx();
-  const std::vector<float>& v = tilde.values();
+  // Normalization never changes the sparsity structure — only the values.
   std::vector<float> vals(static_cast<size_t>(tilde.Nnz()));
-  const bool use_avx2 = simd::UseAvx2();
-  ParallelFor(
-      0, tilde.rows(),
-      GrainFromCost(2 * (tilde.Nnz() / std::max<int64_t>(tilde.rows(), 1) + 1)),
-      [&](int64_t r0, int64_t r1) {
-        if (use_avx2) {
-          // Bit-identical to the loop below: same (v·dr)·dinv[col]
-          // association, vector gather on the column factor.
-          simd::Avx2SymNormalizeRows(rp.data(), ci.data(), v.data(),
-                                     dinv_sqrt.data(), vals.data(), r0, r1);
-          return;
-        }
-        for (int64_t r = r0; r < r1; ++r) {
-          const float dr = dinv_sqrt[static_cast<size_t>(r)];
-          for (int64_t k = rp[static_cast<size_t>(r)];
-               k < rp[static_cast<size_t>(r) + 1]; ++k) {
-            vals[static_cast<size_t>(k)] =
-                v[static_cast<size_t>(k)] * dr *
-                dinv_sqrt[static_cast<size_t>(ci[static_cast<size_t>(k)])];
-          }
-        }
-      },
-      "graph.sym_normalize");
+  SymRescaleView(tilde.View(), InvSqrtDegrees(tilde.RowSums()), vals.data());
   return tilde.WithValues(std::move(vals));
+}
+
+StatusOr<Tensor> PropagateRows(const CsrSegmentSource& a_hat, const Tensor& x,
+                               int64_t depth,
+                               const std::vector<int64_t>& keep) {
+  if (depth <= 0) return keep.empty() ? x : GatherRows(x, keep);
+  Tensor hold;
+  const Tensor* src = &x;
+  const int64_t full_hops = keep.empty() ? depth : depth - 1;
+  for (int64_t hop = 0; hop < full_hops; ++hop) {
+    StatusOr<Tensor> y = a_hat.SpMM(*src);
+    if (!y.ok()) return y.status();
+    hold = std::move(y).value();
+    src = &hold;
+  }
+  if (keep.empty()) return hold;
+
+  // Last hop: row r of the output depends on row r of Â alone, so only the
+  // kept rows are computed, visiting their segments once each in row order.
+  std::vector<std::pair<int64_t, int64_t>> order;  // (row, out position)
+  order.reserve(keep.size());
+  for (size_t i = 0; i < keep.size(); ++i) {
+    if (keep[i] < 0 || keep[i] >= a_hat.rows()) {
+      return Status::OutOfRange("propagate: keep row out of range");
+    }
+    order.push_back({keep[i], static_cast<int64_t>(i)});
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<int64_t> sorted_rows(order.size());
+  for (size_t i = 0; i < order.size(); ++i) sorted_rows[i] = order[i].first;
+
+  const int64_t grain =
+      CsrRowGrain(a_hat.rows(), a_hat.row_ptr().back(), x.cols());
+  Tensor out = Tensor::Uninitialized(static_cast<int64_t>(keep.size()),
+                                     x.cols());
+  size_t next = 0;
+  MCOND_RETURN_IF_ERROR(a_hat.ForEachSegmentOf(
+      sorted_rows, [&](const CsrSegmentView& seg) {
+        const size_t first = next;
+        while (next < order.size() && order[next].first < seg.row_end) ++next;
+        ParallelFor(
+            static_cast<int64_t>(first), static_cast<int64_t>(next), grain,
+            [&](int64_t i0, int64_t i1) {
+              for (int64_t i = i0; i < i1; ++i) {
+                const int64_t r =
+                    order[static_cast<size_t>(i)].first - seg.row_begin;
+                SpmmViewRows(seg, *src, r, r + 1,
+                             out.RowData(order[static_cast<size_t>(i)].second));
+              }
+            },
+            "graph.propagate_kept_rows");
+      }));
+  return out;
 }
 
 CsrMatrix RowNormalize(const CsrMatrix& a) {
@@ -125,6 +224,23 @@ CsrMatrix RowNormalize(const CsrMatrix& a) {
   return a.WithValues(std::move(vals));
 }
 
+std::vector<int64_t> LabeledNodes(const std::vector<int64_t>& labels) {
+  std::vector<int64_t> out;
+  for (size_t i = 0; i < labels.size(); ++i) {
+    if (labels[i] >= 0) out.push_back(static_cast<int64_t>(i));
+  }
+  return out;
+}
+
+std::vector<int64_t> ClassCounts(const std::vector<int64_t>& labels,
+                                 int64_t num_classes) {
+  std::vector<int64_t> counts(static_cast<size_t>(num_classes), 0);
+  for (int64_t y : labels) {
+    if (y >= 0) ++counts[static_cast<size_t>(y)];
+  }
+  return counts;
+}
+
 Graph::Graph(CsrMatrix adjacency, Tensor features,
              std::vector<int64_t> labels, int64_t num_classes)
     : adjacency_(std::move(adjacency)),
@@ -139,22 +255,6 @@ Graph::Graph(CsrMatrix adjacency, Tensor features,
   }
   normalized_ = SymNormalize(adjacency_);
   row_normalized_ = RowNormalize(AddSelfLoops(adjacency_));
-}
-
-std::vector<int64_t> Graph::LabeledNodes() const {
-  std::vector<int64_t> out;
-  for (size_t i = 0; i < labels_.size(); ++i) {
-    if (labels_[i] >= 0) out.push_back(static_cast<int64_t>(i));
-  }
-  return out;
-}
-
-std::vector<int64_t> Graph::ClassCounts() const {
-  std::vector<int64_t> counts(static_cast<size_t>(num_classes_), 0);
-  for (int64_t y : labels_) {
-    if (y >= 0) ++counts[static_cast<size_t>(y)];
-  }
-  return counts;
 }
 
 int64_t Graph::StorageBytes() const {

@@ -2,9 +2,11 @@
 #define MCOND_GRAPH_GRAPH_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/csr_matrix.h"
+#include "core/status.h"
 #include "core/tensor.h"
 
 namespace mcond {
@@ -13,12 +15,84 @@ namespace mcond {
 /// one) — the Ã = A + I step of GCN normalization.
 CsrMatrix AddSelfLoops(const CsrMatrix& a, float weight = 1.0f);
 
+/// The rows of a view plus weight·I, as a NumRows × cols CSR: row r gains
+/// (a.row_begin + r, weight) at its sorted column unless it already stores
+/// its diagonal, which is kept as stored. The one self-loop merge, behind
+/// AddSelfLoops (the whole matrix) and the streamed normalization (one
+/// pinned segment at a time).
+CsrMatrix AddSelfLoopRows(const CsrSegmentView& a, int64_t cols,
+                          float weight = 1.0f);
+
+/// D^{-1/2} from weighted degrees; zero-degree rows get 0.
+std::vector<float> InvSqrtDegrees(const std::vector<float>& deg);
+
+/// The SymNormalize rescale body over a view: out[k] = v[k] · dinv[row] ·
+/// dinv[col] with row = a.row_begin + r, `out` indexed like the view's
+/// values. Row-parallel, AVX2 gather kernel when active (bit-identical).
+void SymRescaleView(const CsrSegmentView& a,
+                    const std::vector<float>& dinv_sqrt, float* out);
+
 /// Symmetric GCN normalization D^{-1/2} (A + I) D^{-1/2}, where D is the
 /// (weighted) degree of A + I. Zero-degree rows stay zero.
 CsrMatrix SymNormalize(const CsrMatrix& a, bool add_self_loops = true);
 
+/// A square CSR matrix as the shared row loops (PropagateRows,
+/// SampleEdgeBatch) reach it: a resident CsrMatrix is one segment
+/// (ResidentSegments), a ShardedCsr pins its segments (graph/sharded_ops.cc).
+class CsrSegmentSource {
+ public:
+  virtual ~CsrSegmentSource() = default;
+  virtual int64_t rows() const = 0;
+  /// Global row pointers, rows() + 1 entries.
+  virtual const std::vector<int64_t>& row_ptr() const = 0;
+  /// Y = A · X over every row.
+  virtual StatusOr<Tensor> SpMM(const Tensor& x) const = 0;
+  /// Calls fn once per segment holding a row of `sorted_rows`, in row order;
+  /// the view is valid only during the call.
+  virtual Status ForEachSegmentOf(
+      const std::vector<int64_t>& sorted_rows,
+      const std::function<void(const CsrSegmentView&)>& fn) const = 0;
+  /// The segment holding row r; valid until the next call.
+  virtual StatusOr<CsrSegmentView> SegmentOfRow(int64_t r) const = 0;
+};
+
+/// A resident CsrMatrix as one segment covering all its rows.
+class ResidentSegments final : public CsrSegmentSource {
+ public:
+  explicit ResidentSegments(const CsrMatrix& a) : a_(&a) {}
+  int64_t rows() const override { return a_->rows(); }
+  const std::vector<int64_t>& row_ptr() const override { return a_->row_ptr(); }
+  StatusOr<Tensor> SpMM(const Tensor& x) const override { return a_->SpMM(x); }
+  Status ForEachSegmentOf(
+      const std::vector<int64_t>& /*sorted_rows*/,
+      const std::function<void(const CsrSegmentView&)>& fn) const override {
+    fn(a_->View());
+    return Status::Ok();
+  }
+  StatusOr<CsrSegmentView> SegmentOfRow(int64_t) const override {
+    return a_->View();
+  }
+
+ private:
+  const CsrMatrix* a_;
+};
+
+/// Â^depth X. With a non-empty `keep`, row i of the result is propagated
+/// row keep[i], and the last hop computes only the kept rows (segment by
+/// segment, in row order) instead of a full N×d product.
+StatusOr<Tensor> PropagateRows(const CsrSegmentSource& a_hat, const Tensor& x,
+                               int64_t depth,
+                               const std::vector<int64_t>& keep = {});
+
 /// Row-stochastic normalization D^{-1} A (random-walk / mean aggregation).
 CsrMatrix RowNormalize(const CsrMatrix& a);
+
+/// Indices of nodes with a label (>= 0).
+std::vector<int64_t> LabeledNodes(const std::vector<int64_t>& labels);
+
+/// Per-class node counts over labeled nodes.
+std::vector<int64_t> ClassCounts(const std::vector<int64_t>& labels,
+                                 int64_t num_classes);
 
 /// An attributed, labeled graph: the T = {A, X, Y} (or S = {A', X', Y'}) of
 /// the paper. Holds the raw adjacency plus its cached GCN-normalized form so
@@ -44,11 +118,12 @@ class Graph {
   const Tensor& features() const { return features_; }
   const std::vector<int64_t>& labels() const { return labels_; }
 
-  /// Indices of nodes with a label (>= 0).
-  std::vector<int64_t> LabeledNodes() const;
-
-  /// Per-class node counts over labeled nodes.
-  std::vector<int64_t> ClassCounts() const;
+  std::vector<int64_t> LabeledNodes() const {
+    return mcond::LabeledNodes(labels_);
+  }
+  std::vector<int64_t> ClassCounts() const {
+    return mcond::ClassCounts(labels_, num_classes_);
+  }
 
   /// The paper's memory model for a deployed graph: CSR storage of the
   /// adjacency plus N·d float features.

@@ -7,8 +7,16 @@ namespace mcond {
 EdgeBatch SampleEdgeBatch(const CsrMatrix& adjacency, int64_t num_pos,
                           int64_t num_neg, Rng& rng) {
   MCOND_CHECK_EQ(adjacency.rows(), adjacency.cols());
+  return SampleEdgeBatch(ResidentSegments(adjacency), num_pos, num_neg, rng)
+      .value();
+}
+
+StatusOr<EdgeBatch> SampleEdgeBatch(const CsrSegmentSource& adjacency,
+                                    int64_t num_pos, int64_t num_neg,
+                                    Rng& rng) {
   const int64_t n = adjacency.rows();
-  const int64_t nnz = adjacency.Nnz();
+  const std::vector<int64_t>& row_ptr = adjacency.row_ptr();
+  const int64_t nnz = row_ptr.back();
   EdgeBatch batch;
   if (n == 0) return batch;
 
@@ -18,12 +26,14 @@ EdgeBatch SampleEdgeBatch(const CsrMatrix& adjacency, int64_t num_pos,
   if (nnz > 0) {
     for (int64_t s = 0; s < actual_pos; ++s) {
       const int64_t k = (actual_pos == nnz) ? s : rng.RandInt(0, nnz - 1);
-      const auto it = std::upper_bound(adjacency.row_ptr().begin(),
-                                       adjacency.row_ptr().end(), k);
-      const int64_t r =
-          static_cast<int64_t>(it - adjacency.row_ptr().begin()) - 1;
+      const auto it = std::upper_bound(row_ptr.begin(), row_ptr.end(), k);
+      const int64_t r = static_cast<int64_t>(it - row_ptr.begin()) - 1;
+      StatusOr<CsrSegmentView> seg = adjacency.SegmentOfRow(r);
+      if (!seg.ok()) return seg.status();
+      const int64_t local_k =
+          k - row_ptr[static_cast<size_t>(seg.value().row_begin)];
       batch.src.push_back(r);
-      batch.dst.push_back(adjacency.col_idx()[static_cast<size_t>(k)]);
+      batch.dst.push_back(seg.value().col_idx[local_k]);
       batch.target.push_back(1.0f);
     }
   }
@@ -38,7 +48,16 @@ EdgeBatch SampleEdgeBatch(const CsrMatrix& adjacency, int64_t num_pos,
     ++attempts;
     const int64_t i = rng.RandInt(0, n - 1);
     const int64_t j = rng.RandInt(0, n - 1);
-    if (i == j || adjacency.HasEntry(i, j)) continue;
+    if (i == j) continue;
+    StatusOr<CsrSegmentView> seg = adjacency.SegmentOfRow(i);
+    if (!seg.ok()) return seg.status();
+    const CsrSegmentView& v = seg.value();
+    const int64_t lr = i - v.row_begin;
+    if (std::binary_search(v.col_idx + v.row_ptr[lr],
+                           v.col_idx + v.row_ptr[lr + 1],
+                           static_cast<int32_t>(j))) {
+      continue;
+    }
     batch.src.push_back(i);
     batch.dst.push_back(j);
     batch.target.push_back(0.0f);

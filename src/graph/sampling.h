@@ -6,6 +6,7 @@
 
 #include "core/csr_matrix.h"
 #include "core/rng.h"
+#include "graph/graph.h"
 
 namespace mcond {
 
@@ -25,6 +26,13 @@ struct EdgeBatch {
 /// num_pos edges, all edges are used.
 EdgeBatch SampleEdgeBatch(const CsrMatrix& adjacency, int64_t num_pos,
                           int64_t num_neg, Rng& rng);
+
+/// The one draw sequence behind both samplers: each probe looks up the
+/// segment holding its row, so a resident matrix and a sharded store draw
+/// identical batches for identical seeds.
+StatusOr<EdgeBatch> SampleEdgeBatch(const CsrSegmentSource& adjacency,
+                                    int64_t num_pos, int64_t num_neg,
+                                    Rng& rng);
 
 }  // namespace mcond
 

@@ -1,86 +1,89 @@
 #include "graph/sharded_ops.h"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <utility>
 
-#include "core/parallel.h"
 #include "core/segment_prefetcher.h"
-#include "core/simd.h"
-#include "core/simd_kernels.h"
-#include "core/tensor_ops.h"
+#include "graph/compose.h"
 #include "obs/trace.h"
 
 namespace mcond {
 
 namespace {
 
-/// Same grain policy as CsrMatrix::SpMM, from global matrix stats so it
-/// does not depend on the segment partition (grain never changes bits
-/// anyway, but keeping the chunk economics identical keeps perf parity).
-int64_t SpmmGrain(int64_t rows, int64_t nnz, int64_t d) {
-  const int64_t cost_per_row = 2 * d * (nnz / std::max<int64_t>(rows, 1) + 1);
-  return GrainFromCost(cost_per_row);
-}
-
-/// One segment's worth of Y = A · X, writing rows [row_begin, row_end) of
-/// `y`. Identical per-row arithmetic to CsrMatrix::SpMM (ascending-k
-/// multiply-then-add; AVX2 kernel when active — itself bit-identical to the
-/// scalar loop). `y` rows must start zeroed on the scalar path.
-void SpmmSegment(const CsrSegmentView& seg, const Tensor& x, Tensor* y,
-                 int64_t grain) {
-  const int64_t d = x.cols();
-  float* y_base = y->data() + seg.row_begin * d;
-  const bool use_avx2 = simd::UseAvx2();
-  ParallelFor(
-      0, seg.NumRows(), grain,
-      [&](int64_t r0, int64_t r1) {
-        if (use_avx2) {
-          simd::Avx2SpmmRows(seg.row_ptr, seg.col_idx, seg.values, x.data(),
-                             y_base, d, r0, r1);
-          return;
-        }
-        for (int64_t r = r0; r < r1; ++r) {
-          float* yrow = y_base + r * d;
-          for (int64_t k = seg.row_ptr[r]; k < seg.row_ptr[r + 1]; ++k) {
-            const float v = seg.values[k];
-            const float* xrow = x.RowData(seg.col_idx[k]);
-            for (int64_t j = 0; j < d; ++j) yrow[j] += v * xrow[j];
-          }
-        }
-      },
-      "graph.sharded_spmm");
-}
-
-/// Full streamed SpMM into a pre-zeroed output tensor. The cursor declares
-/// the sequential pass up front so the prefetch worker maps and faults in
-/// segment i+1 while segment i is multiplying.
-Status SpmmAllSegments(const ShardedCsr& a, const Tensor& x, Tensor* y) {
-  const int64_t grain = SpmmGrain(a.rows(), a.Nnz(), x.cols());
+/// Hands every segment of `a`, pinned in row order, to fn. The cursor
+/// declares the sequential pass up front so the prefetch worker maps and
+/// faults in segment i+1 while fn works on segment i.
+Status ForEachSegment(const ShardedCsr& a,
+                      const std::function<Status(const CsrSegmentView&)>& fn) {
   SequentialCursor cursor(a);
   for (int64_t i = 0; i < a.NumSegments(); ++i) {
     StatusOr<PinnedSegment> pin = cursor.Next();
     if (!pin.ok()) return pin.status();
-    SpmmSegment(pin.value().view(), x, y, grain);
+    MCOND_RETURN_IF_ERROR(fn(pin.value().view()));
   }
   return Status::Ok();
 }
 
-/// Scalar single-row SpMM — bit-identical to the chunked kernels on every
-/// tier (the AVX2 SpMM kernel is exact w.r.t. this loop by contract).
-void SpmmOneRow(const CsrSegmentView& seg, int64_t local_row, const Tensor& x,
-                float* out) {
-  const int64_t d = x.cols();
-  for (int64_t j = 0; j < d; ++j) out[j] = 0.0f;
-  for (int64_t k = seg.row_ptr[local_row]; k < seg.row_ptr[local_row + 1];
-       ++k) {
-    const float v = seg.values[k];
-    const float* xrow = x.RowData(seg.col_idx[k]);
-    for (int64_t j = 0; j < d; ++j) out[j] += v * xrow[j];
+/// The writer sink: appends every row of `rows` with values taken from
+/// `values` (indexed like the view's entries).
+Status AppendRows(const CsrSegmentView& rows, const float* values,
+                  ShardedCsrWriter* writer) {
+  for (int64_t r = 0; r < rows.NumRows(); ++r) {
+    MCOND_RETURN_IF_ERROR(writer->AppendRow(rows.col_idx + rows.row_ptr[r],
+                                            values + rows.row_ptr[r],
+                                            rows.row_ptr[r + 1] -
+                                                rows.row_ptr[r]));
   }
+  return Status::Ok();
 }
+
+/// A ShardedCsr as the shared row loops see it: kept-row walks pin through
+/// a cursor over exactly the segments they need (so prefetch works ahead
+/// even when the rows skip segments); random access pins one segment at a
+/// time and lets the LRU keep the hot ones mapped.
+class ShardedSegments final : public CsrSegmentSource {
+ public:
+  explicit ShardedSegments(const ShardedCsr& a) : a_(&a) {}
+  int64_t rows() const override { return a_->rows(); }
+  const std::vector<int64_t>& row_ptr() const override {
+    return a_->row_ptr();
+  }
+  StatusOr<Tensor> SpMM(const Tensor& x) const override {
+    return ShardedSpMM(*a_, x);
+  }
+  Status ForEachSegmentOf(
+      const std::vector<int64_t>& sorted_rows,
+      const std::function<void(const CsrSegmentView&)>& fn) const override {
+    std::vector<int64_t> schedule;
+    for (const int64_t row : sorted_rows) {
+      const int64_t s = a_->SegmentForRow(row);
+      if (schedule.empty() || schedule.back() != s) schedule.push_back(s);
+    }
+    const size_t count = schedule.size();
+    SequentialCursor cursor(*a_, std::move(schedule));
+    for (size_t i = 0; i < count; ++i) {
+      StatusOr<PinnedSegment> pin = cursor.Next();
+      if (!pin.ok()) return pin.status();
+      fn(pin.value().view());
+    }
+    return Status::Ok();
+  }
+  StatusOr<CsrSegmentView> SegmentOfRow(int64_t r) const override {
+    pin_ = PinnedSegment();  // Unpin before pinning the next segment.
+    StatusOr<PinnedSegment> pin = a_->Pin(a_->SegmentForRow(r));
+    if (!pin.ok()) return pin.status();
+    pin_ = std::move(pin).value();
+    return pin_.view();
+  }
+
+ private:
+  const ShardedCsr* a_;
+  mutable PinnedSegment pin_;
+};
 
 }  // namespace
 
@@ -89,33 +92,25 @@ StatusOr<Tensor> ShardedSpMM(const ShardedCsr& a, const Tensor& x) {
     return Status::InvalidArgument("sharded spmm: shape mismatch");
   }
   MCOND_TRACE_SPAN("graph.sharded_spmm");
-  Tensor y(a.rows(), x.cols());
-  MCOND_RETURN_IF_ERROR(SpmmAllSegments(a, x, &y));
+  // Grain from global matrix stats, so it does not depend on the partition.
+  const int64_t grain = CsrRowGrain(a.rows(), a.Nnz(), x.cols());
+  Tensor y = Tensor::Uninitialized(a.rows(), x.cols());
+  MCOND_RETURN_IF_ERROR(ForEachSegment(a, [&](const CsrSegmentView& seg) {
+    SpmmView(seg, x, y.data() + seg.row_begin * x.cols(), grain,
+             "graph.sharded_spmm");
+    return Status::Ok();
+  }));
   return y;
 }
 
 StatusOr<std::vector<float>> ShardedRowSums(const ShardedCsr& a) {
-  std::vector<float> sums(static_cast<size_t>(a.rows()), 0.0f);
-  const int64_t grain = SpmmGrain(a.rows(), a.Nnz(), /*d=*/1);
-  SequentialCursor cursor(a);
-  for (int64_t i = 0; i < a.NumSegments(); ++i) {
-    StatusOr<PinnedSegment> pin = cursor.Next();
-    if (!pin.ok()) return pin.status();
-    const CsrSegmentView& seg = pin.value().view();
-    float* out = sums.data() + seg.row_begin;
-    ParallelFor(
-        0, seg.NumRows(), grain,
-        [&](int64_t r0, int64_t r1) {
-          for (int64_t r = r0; r < r1; ++r) {
-            double acc = 0.0;
-            for (int64_t k = seg.row_ptr[r]; k < seg.row_ptr[r + 1]; ++k) {
-              acc += seg.values[k];
-            }
-            out[r] = static_cast<float>(acc);
-          }
-        },
-        "graph.sharded_row_sums");
-  }
+  std::vector<float> sums(static_cast<size_t>(a.rows()));
+  const int64_t grain = CsrRowGrain(a.rows(), a.Nnz(), /*d=*/1);
+  MCOND_RETURN_IF_ERROR(ForEachSegment(a, [&](const CsrSegmentView& seg) {
+    RowSumsView(seg, sums.data() + seg.row_begin, grain,
+                "graph.sharded_row_sums");
+    return Status::Ok();
+  }));
   return sums;
 }
 
@@ -126,59 +121,7 @@ StatusOr<Tensor> ShardedPropagate(const ShardedCsr& a_hat, const Tensor& x,
     return Status::InvalidArgument("sharded propagate: shape mismatch");
   }
   MCOND_TRACE_SPAN("graph.sharded_propagate");
-  const int64_t d = x.cols();
-  if (depth <= 0) {
-    return keep.empty() ? x : GatherRows(x, keep);
-  }
-  Tensor hold;
-  const Tensor* src = &x;
-  for (int64_t hop = 0; hop < depth; ++hop) {
-    const bool gather_hop = (hop == depth - 1) && !keep.empty();
-    if (!gather_hop) {
-      Tensor y(a_hat.rows(), d);
-      MCOND_RETURN_IF_ERROR(SpmmAllSegments(a_hat, *src, &y));
-      hold = std::move(y);
-      src = &hold;
-      continue;
-    }
-    // Final hop: only the kept rows are materialized. Row r of the output
-    // depends on row r of Â alone, so compute each kept row in place —
-    // segments are visited in row order via a sort, pinning each once.
-    Tensor out(static_cast<int64_t>(keep.size()), d);
-    std::vector<std::pair<int64_t, int64_t>> order;  // (row, out position)
-    order.reserve(keep.size());
-    for (size_t i = 0; i < keep.size(); ++i) {
-      const int64_t r = keep[i];
-      if (r < 0 || r >= a_hat.rows()) {
-        return Status::OutOfRange("sharded propagate: keep row out of range");
-      }
-      order.push_back({r, static_cast<int64_t>(i)});
-    }
-    std::sort(order.begin(), order.end());
-    // The kept rows' segment visit order is known now — declare it so the
-    // prefetcher works ahead even when the kept set skips segments.
-    std::vector<int64_t> schedule;
-    for (const auto& [row, pos] : order) {
-      const int64_t s = a_hat.SegmentForRow(row);
-      if (schedule.empty() || schedule.back() != s) schedule.push_back(s);
-    }
-    SequentialCursor cursor(a_hat, std::move(schedule));
-    int64_t seg_idx = -1;
-    PinnedSegment pin;
-    for (const auto& [row, pos] : order) {
-      const int64_t want = a_hat.SegmentForRow(row);
-      if (want != seg_idx) {
-        StatusOr<PinnedSegment> p = cursor.Next();
-        if (!p.ok()) return p.status();
-        pin = std::move(p).value();
-        seg_idx = want;
-      }
-      SpmmOneRow(pin.view(), row - pin.view().row_begin, *src,
-                 out.RowData(pos));
-    }
-    return out;
-  }
-  return hold;
+  return PropagateRows(ShardedSegments(a_hat), x, depth, keep);
 }
 
 StatusOr<ShardedCsr> ShardedSymNormalize(const ShardedCsr& a,
@@ -190,83 +133,27 @@ StatusOr<ShardedCsr> ShardedSymNormalize(const ShardedCsr& a,
   }
   MCOND_TRACE_SPAN("graph.sharded_sym_normalize");
   const int64_t n = a.rows();
-  constexpr float kSelfLoop = 1.0f;
+  // Pass 1: degrees of Ã = A + I, one segment-local Ã block at a time.
+  std::vector<float> deg(static_cast<size_t>(n));
+  MCOND_RETURN_IF_ERROR(ForEachSegment(a, [&](const CsrSegmentView& seg) {
+    const std::vector<float> sums = AddSelfLoopRows(seg, n).RowSums();
+    std::copy(sums.begin(), sums.end(), deg.begin() + seg.row_begin);
+    return Status::Ok();
+  }));
+  const std::vector<float> dinv_sqrt = InvSqrtDegrees(deg);
 
-  // Pass 1: degrees of Ã = A + I with the self-loop merged at its sorted
-  // column position — the exact accumulation order of the resident
-  // AddSelfLoops(a).RowSums() (per-row double accumulator over ascending
-  // columns).
-  std::vector<float> deg(static_cast<size_t>(n), 0.0f);
-  {
-    SequentialCursor cursor(a);
-    for (int64_t i = 0; i < a.NumSegments(); ++i) {
-      StatusOr<PinnedSegment> pin = cursor.Next();
-      if (!pin.ok()) return pin.status();
-      const CsrSegmentView& seg = pin.value().view();
-      for (int64_t r = 0; r < seg.NumRows(); ++r) {
-        const int64_t gr = seg.row_begin + r;
-        double acc = 0.0;
-        bool seen_diag = false;
-        for (int64_t k = seg.row_ptr[r]; k < seg.row_ptr[r + 1]; ++k) {
-          const int32_t c = seg.col_idx[k];
-          if (!seen_diag && c > gr) {
-            acc += kSelfLoop;
-            seen_diag = true;
-          }
-          if (c == gr) seen_diag = true;
-          acc += seg.values[k];
-        }
-        if (!seen_diag) acc += kSelfLoop;
-        deg[static_cast<size_t>(gr)] = static_cast<float>(acc);
-      }
-    }
-  }
-  std::vector<float> dinv_sqrt(deg.size());
-  for (size_t i = 0; i < deg.size(); ++i) {
-    dinv_sqrt[i] = deg[i] > 0.0f ? 1.0f / std::sqrt(deg[i]) : 0.0f;
-  }
-
-  // Pass 2: rewrite each row with the self-loop inserted and every value
-  // rescaled with the resident expression v · dr · dinv[c] (scalar on
-  // purpose: the AVX2 normalize kernel is bit-identical to this loop, so
-  // scalar here matches the resident output on every tier).
+  // Pass 2: rebuild each block, rescale it, and stream it to the new store.
   StatusOr<ShardedCsrWriter> writer =
       ShardedCsrWriter::Create(out_path, n, n, options);
   if (!writer.ok()) return writer.status();
-  std::vector<int32_t> row_cols;
-  std::vector<float> row_vals;
-  SequentialCursor cursor(a);
-  for (int64_t i = 0; i < a.NumSegments(); ++i) {
-    StatusOr<PinnedSegment> pin = cursor.Next();
-    if (!pin.ok()) return pin.status();
-    const CsrSegmentView& seg = pin.value().view();
-    for (int64_t r = 0; r < seg.NumRows(); ++r) {
-      const int64_t gr = seg.row_begin + r;
-      const float dr = dinv_sqrt[static_cast<size_t>(gr)];
-      row_cols.clear();
-      row_vals.clear();
-      bool seen_diag = false;
-      for (int64_t k = seg.row_ptr[r]; k < seg.row_ptr[r + 1]; ++k) {
-        const int32_t c = seg.col_idx[k];
-        if (!seen_diag && c > gr) {
-          row_cols.push_back(static_cast<int32_t>(gr));
-          row_vals.push_back(kSelfLoop * dr * dr);
-          seen_diag = true;
-        }
-        if (c == gr) seen_diag = true;
-        row_cols.push_back(c);
-        row_vals.push_back(seg.values[k] * dr *
-                           dinv_sqrt[static_cast<size_t>(c)]);
-      }
-      if (!seen_diag) {
-        row_cols.push_back(static_cast<int32_t>(gr));
-        row_vals.push_back(kSelfLoop * dr * dr);
-      }
-      MCOND_RETURN_IF_ERROR(writer.value().AppendRow(
-          row_cols.data(), row_vals.data(),
-          static_cast<int64_t>(row_cols.size())));
-    }
-  }
+  std::vector<float> vals;
+  MCOND_RETURN_IF_ERROR(ForEachSegment(a, [&](const CsrSegmentView& seg) {
+    const CsrMatrix tilde = AddSelfLoopRows(seg, n);
+    const CsrSegmentView rows = tilde.View(seg.row_begin);
+    vals.resize(static_cast<size_t>(tilde.Nnz()));
+    SymRescaleView(rows, dinv_sqrt, vals.data());
+    return AppendRows(rows, vals.data(), &writer.value());
+  }));
   MCOND_RETURN_IF_ERROR(writer.value().Finalize());
   return ShardedCsr::Open(out_path, mem_budget_bytes);
 }
@@ -281,14 +168,10 @@ StatusOr<ShardedCsr> ShardedComposeBlockAdjacency(
   }
   MCOND_TRACE_SPAN("graph.sharded_compose_block_adjacency");
   const int64_t big_n = base.rows();
-  const int64_t small_n = links.rows();
-  const int64_t total = big_n + small_n;
+  const int64_t total = big_n + links.rows();
   if (total > std::numeric_limits<int32_t>::max()) {
     return Status::InvalidArgument("sharded compose: graph too large");
   }
-  // linksᵀ resident: an N-row CSR with tiny nnz. Its per-row columns are the
-  // ascending links-row indices — exactly the append order of the resident
-  // serial scatter, with the same values.
   const CsrMatrix links_t = links.Transpose();
 
   StatusOr<ShardedCsrWriter> writer =
@@ -296,48 +179,22 @@ StatusOr<ShardedCsr> ShardedComposeBlockAdjacency(
   if (!writer.ok()) return writer.status();
   std::vector<int32_t> row_cols;
   std::vector<float> row_vals;
-  SequentialCursor cursor(base);
-  for (int64_t i = 0; i < base.NumSegments(); ++i) {
-    StatusOr<PinnedSegment> pin = cursor.Next();
-    if (!pin.ok()) return pin.status();
-    const CsrSegmentView& seg = pin.value().view();
-    for (int64_t r = 0; r < seg.NumRows(); ++r) {
-      const int64_t gr = seg.row_begin + r;
-      row_cols.clear();
-      row_vals.clear();
-      for (int64_t k = seg.row_ptr[r]; k < seg.row_ptr[r + 1]; ++k) {
-        row_cols.push_back(seg.col_idx[k]);
-        row_vals.push_back(seg.values[k]);
-      }
-      for (int64_t k = links_t.row_ptr()[static_cast<size_t>(gr)];
-           k < links_t.row_ptr()[static_cast<size_t>(gr) + 1]; ++k) {
-        row_cols.push_back(static_cast<int32_t>(
-            big_n + links_t.col_idx()[static_cast<size_t>(k)]));
-        row_vals.push_back(links_t.values()[static_cast<size_t>(k)]);
-      }
-      MCOND_RETURN_IF_ERROR(writer.value().AppendRow(
-          row_cols.data(), row_vals.data(),
-          static_cast<int64_t>(row_cols.size())));
+  // Every block row of `left` (rows [left | N + right]) to the writer sink.
+  auto append_rows = [&](const CsrSegmentView& left, const CsrMatrix& right) {
+    for (int64_t r = 0; r < left.NumRows(); ++r) {
+      const int64_t nnz = BlockRowNnz(left, r, right);
+      row_cols.resize(static_cast<size_t>(nnz));
+      row_vals.resize(static_cast<size_t>(nnz));
+      WriteBlockRow(left, r, right, big_n, row_cols.data(), row_vals.data());
+      MCOND_RETURN_IF_ERROR(
+          writer.value().AppendRow(row_cols.data(), row_vals.data(), nnz));
     }
-  }
-  for (int64_t r = 0; r < small_n; ++r) {
-    row_cols.clear();
-    row_vals.clear();
-    for (int64_t k = links.row_ptr()[static_cast<size_t>(r)];
-         k < links.row_ptr()[static_cast<size_t>(r) + 1]; ++k) {
-      row_cols.push_back(links.col_idx()[static_cast<size_t>(k)]);
-      row_vals.push_back(links.values()[static_cast<size_t>(k)]);
-    }
-    for (int64_t k = inter.row_ptr()[static_cast<size_t>(r)];
-         k < inter.row_ptr()[static_cast<size_t>(r) + 1]; ++k) {
-      row_cols.push_back(static_cast<int32_t>(
-          big_n + inter.col_idx()[static_cast<size_t>(k)]));
-      row_vals.push_back(inter.values()[static_cast<size_t>(k)]);
-    }
-    MCOND_RETURN_IF_ERROR(writer.value().AppendRow(
-        row_cols.data(), row_vals.data(),
-        static_cast<int64_t>(row_cols.size())));
-  }
+    return Status::Ok();
+  };
+  MCOND_RETURN_IF_ERROR(ForEachSegment(base, [&](const CsrSegmentView& seg) {
+    return append_rows(seg, links_t);
+  }));
+  MCOND_RETURN_IF_ERROR(append_rows(links.View(), inter));
   MCOND_RETURN_IF_ERROR(writer.value().Finalize());
   return ShardedCsr::Open(out_path, mem_budget_bytes);
 }
@@ -348,69 +205,7 @@ StatusOr<EdgeBatch> ShardedSampleEdgeBatch(const ShardedCsr& adjacency,
   if (adjacency.rows() != adjacency.cols()) {
     return Status::InvalidArgument("sharded edge sample: non-square matrix");
   }
-  // Random access (RNG-driven segment order): plain Pin, no prefetch
-  // schedule to declare. The LRU keeps the hot segments mapped.
-  const int64_t n = adjacency.rows();
-  const int64_t nnz = adjacency.Nnz();
-  EdgeBatch batch;
-  if (n == 0) return batch;
-
-  const std::vector<int64_t>& row_ptr = adjacency.row_ptr();
-  const int64_t actual_pos = std::min(num_pos, nnz);
-  if (nnz > 0) {
-    for (int64_t s = 0; s < actual_pos; ++s) {
-      const int64_t k = (actual_pos == nnz) ? s : rng.RandInt(0, nnz - 1);
-      const auto it = std::upper_bound(row_ptr.begin(), row_ptr.end(), k);
-      const int64_t r = static_cast<int64_t>(it - row_ptr.begin()) - 1;
-      const int64_t si = adjacency.SegmentForSlot(k);
-      StatusOr<PinnedSegment> pin = adjacency.Pin(si);
-      if (!pin.ok()) return pin.status();
-      const CsrSegmentView& seg = pin.value().view();
-      batch.src.push_back(r);
-      batch.dst.push_back(
-          seg.col_idx[k - adjacency.segment(si).nnz_begin]);
-      batch.target.push_back(1.0f);
-    }
-  }
-
-  int64_t produced = 0;
-  int64_t attempts = 0;
-  const int64_t max_attempts = 50 * std::max<int64_t>(num_neg, 1);
-  while (produced < num_neg && attempts < max_attempts) {
-    ++attempts;
-    const int64_t i = rng.RandInt(0, n - 1);
-    const int64_t j = rng.RandInt(0, n - 1);
-    if (i == j) continue;
-    const int64_t si = adjacency.SegmentForRow(i);
-    StatusOr<PinnedSegment> pin = adjacency.Pin(si);
-    if (!pin.ok()) return pin.status();
-    const CsrSegmentView& seg = pin.value().view();
-    const int64_t lr = i - seg.row_begin;
-    const int32_t* first = seg.col_idx + seg.row_ptr[lr];
-    const int32_t* last = seg.col_idx + seg.row_ptr[lr + 1];
-    if (std::binary_search(first, last, static_cast<int32_t>(j))) continue;
-    batch.src.push_back(i);
-    batch.dst.push_back(j);
-    batch.target.push_back(0.0f);
-    ++produced;
-  }
-  return batch;
-}
-
-std::vector<int64_t> ShardedGraph::LabeledNodes() const {
-  std::vector<int64_t> out;
-  for (size_t i = 0; i < labels.size(); ++i) {
-    if (labels[i] >= 0) out.push_back(static_cast<int64_t>(i));
-  }
-  return out;
-}
-
-std::vector<int64_t> ShardedGraph::ClassCounts() const {
-  std::vector<int64_t> counts(static_cast<size_t>(num_classes), 0);
-  for (int64_t y : labels) {
-    if (y >= 0) ++counts[static_cast<size_t>(y)];
-  }
-  return counts;
+  return SampleEdgeBatch(ShardedSegments(adjacency), num_pos, num_neg, rng);
 }
 
 StatusOr<ShardedGraph> ShardGraph(const Graph& g, const std::string& dir,

@@ -14,13 +14,13 @@
 
 namespace mcond {
 
-/// Streamed counterparts of the resident graph kernels. Every function here
-/// carries the same contract: iterating segments one at a time (bounded by
-/// the store's memory budget), the outputs are BIT-IDENTICAL to the
-/// corresponding resident CsrMatrix / graph.h operation at every thread
-/// count and SIMD tier — each output row is produced by exactly one chunk
-/// whose per-row arithmetic order is independent of the segment partition,
-/// the same property the ParallelFor determinism contract rests on.
+/// Streamed counterparts of the resident graph kernels. Each one is a
+/// segment loop that hands pinned CsrSegmentViews to the same row bodies the
+/// resident kernel runs over its one whole-matrix view (core/csr_matrix.h,
+/// graph/graph.h, graph/compose.h, graph/sampling.h), so the outputs are
+/// BIT-IDENTICAL to the resident operation at every thread count, SIMD tier
+/// and segment partition by construction: a row's arithmetic never depends
+/// on which segment or chunk it lands in.
 
 /// Y = A · X. Bit-identical to CsrMatrix::SpMM on the same matrix.
 StatusOr<Tensor> ShardedSpMM(const ShardedCsr& a, const Tensor& x);
@@ -28,10 +28,9 @@ StatusOr<Tensor> ShardedSpMM(const ShardedCsr& a, const Tensor& x);
 /// Per-row sums with the resident double-precision accumulation order.
 StatusOr<std::vector<float>> ShardedRowSums(const ShardedCsr& a);
 
-/// Â^depth X streamed over segments; with a non-empty `keep` the final hop
-/// only materializes the kept rows (out row i = propagated row keep[i]),
-/// matching GatherRows(PropagateSparse(...), keep) bit-for-bit without the
-/// last full N×d buffer.
+/// PropagateRows (graph/graph.h) over the store: with a non-empty `keep` the
+/// final hop only computes the kept rows (out row i = propagated row
+/// keep[i]), without the last full N×d buffer.
 StatusOr<Tensor> ShardedPropagate(const ShardedCsr& a_hat, const Tensor& x,
                                   int64_t depth,
                                   const std::vector<int64_t>& keep = {});
@@ -71,8 +70,12 @@ struct ShardedGraph {
 
   int64_t NumNodes() const { return adjacency ? adjacency->rows() : 0; }
   int64_t FeatureDim() const { return features.cols(); }
-  std::vector<int64_t> LabeledNodes() const;
-  std::vector<int64_t> ClassCounts() const;
+  std::vector<int64_t> LabeledNodes() const {
+    return mcond::LabeledNodes(labels);
+  }
+  std::vector<int64_t> ClassCounts() const {
+    return mcond::ClassCounts(labels, num_classes);
+  }
 };
 
 /// Spills a resident graph into a sharded one under `dir` (created if

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "condense/mcond.h"
+#include "core/parallel.h"
 #include "core/tensor_ops.h"
 #include "data/synthetic.h"
 #include "graph/compose.h"
@@ -23,23 +24,35 @@ std::string TempDir(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+Graph SbmGraph(int64_t n) {
+  SbmConfig config;
+  config.num_nodes = n;
+  config.num_classes = 3;
+  config.feature_dim = 16;
+  config.avg_degree = 6.0;
+  Rng rng(5);
+  return GenerateSbmGraph(config, rng);
+}
+
+ShardOptions QuarterSegments(int64_t n) {
+  ShardOptions options;
+  options.max_rows_per_segment = n / 4;  // Force >= 4 segments.
+  return options;
+}
+
 struct ShardedFixture {
   Graph graph;
   ShardedGraph sharded;
   std::string dir;
 
   explicit ShardedFixture(const std::string& name, int64_t n = 96,
-                          int64_t mem_budget_bytes = 4096) {
-    SbmConfig config;
-    config.num_nodes = n;
-    config.num_classes = 3;
-    config.feature_dim = 16;
-    config.avg_degree = 6.0;
-    Rng rng(5);
-    graph = GenerateSbmGraph(config, rng);
-    dir = TempDir(name);
-    ShardOptions options;
-    options.max_rows_per_segment = n / 4;  // Force >= 4 segments.
+                          int64_t mem_budget_bytes = 4096)
+      : ShardedFixture(name, SbmGraph(n), QuarterSegments(n),
+                       mem_budget_bytes) {}
+
+  ShardedFixture(const std::string& name, Graph g,
+                 const ShardOptions& options, int64_t mem_budget_bytes)
+      : graph(std::move(g)), dir(TempDir(name)) {
     StatusOr<ShardedGraph> s =
         ShardGraph(graph, dir, options, mem_budget_bytes);
     EXPECT_TRUE(s.ok()) << s.status().ToString();
@@ -99,9 +112,13 @@ TEST(ShardedOpsTest, RowSumsBitIdenticalToResident) {
 
 TEST(ShardedOpsTest, SymNormalizeBitIdenticalToResident) {
   ShardedFixture f("sharded_ops_norm");
-  // ShardGraph already streamed normalized.mcss; compare against graph.h.
-  ExpectCsrBitIdentical(*f.sharded.normalized,
-                        f.graph.normalized_adjacency());
+  // ShardGraph writes normalized.mcss from the resident matrix, so stream
+  // the normalization from the adjacency store explicitly.
+  ShardOptions options = QuarterSegments(f.graph.NumNodes());
+  StatusOr<ShardedCsr> streamed = ShardedSymNormalize(
+      *f.sharded.adjacency, f.dir + "/streamed_norm.mcss", options, 4096);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  ExpectCsrBitIdentical(streamed.value(), f.graph.normalized_adjacency());
 }
 
 TEST(ShardedOpsTest, PropagateWithKeepMatchesGatherBitExact) {
@@ -152,6 +169,121 @@ TEST(ShardedOpsTest, EdgeSamplingReplaysResidentRngExactly) {
   EXPECT_EQ(got.value().src, expect.src);
   EXPECT_EQ(got.value().dst, expect.dst);
   EXPECT_EQ(got.value().target, expect.target);
+}
+
+// A hand-built 40-node adjacency that reaches the branches the SBM fixtures
+// never do: stored diagonals (row 0 holds only its diagonal), a degree-0
+// row, rows with columns on both sides of the diagonal (with and without a
+// stored diagonal), an all-empty segment (rows 4..7) and a jumbo row (row
+// 12, every column) that lands in a one-row segment over the byte target.
+Graph EdgeCaseGraph() {
+  const int64_t n = 40;
+  std::vector<Triplet> t = {
+      {0, 0, 2.0f},                                  // diagonal only
+      {1, 0, 0.5f},  {1, 1, 1.5f},  {1, 5, 0.25f},   // both sides + diagonal
+      {2, 0, 0.75f}, {2, 3, 1.25f},                  // both sides, no diagonal
+      // row 3: degree 0; rows 4..7: the empty segment.
+      {8, 2, 0.5f},  {8, 8, 3.0f},  {8, 30, 0.125f},
+      {9, 9, 1.0f},
+      {10, 1, 2.5f}, {10, 39, 0.5f},
+      {11, 11, 0.5f}, {11, 12, 1.75f},
+  };
+  for (int64_t c = 0; c < n; ++c) {
+    t.push_back({12, c, 0.1f * static_cast<float>(c + 1)});  // jumbo row
+  }
+  for (int64_t r = 13; r < n; ++r) {
+    t.push_back({r, (r * 7) % n, 1.0f + 0.01f * static_cast<float>(r)});
+    t.push_back({r, (r * 13 + 1) % n, 0.3f});
+    if (r % 3 == 0) t.push_back({r, r, 0.7f});
+  }
+  CsrMatrix a = CsrMatrix::FromTriplets(n, n, t);
+  Rng rng(3);
+  Tensor x = rng.NormalTensor(n, 5);
+  std::vector<int64_t> labels(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) labels[static_cast<size_t>(i)] = i % 2;
+  return Graph(std::move(a), std::move(x), std::move(labels), 2);
+}
+
+TEST(ShardedOpsTest, EdgeCaseMatrixBitIdenticalAtOneAndEightThreads) {
+  ShardOptions options;
+  options.max_rows_per_segment = 4;
+  options.target_segment_bytes = 256;
+  ShardedFixture f("sharded_ops_edge_cases", EdgeCaseGraph(), options, 4096);
+  const ShardedCsr& adj = *f.sharded.adjacency;
+  const CsrMatrix& a = f.graph.adjacency();
+  const CsrMatrix& norm = f.graph.normalized_adjacency();
+  const Tensor& x = f.graph.features();
+
+  bool has_empty_segment = false;
+  bool has_jumbo_segment = false;
+  for (const ShardedCsr::Segment& seg : adj.segments()) {
+    has_empty_segment |= seg.nnz == 0;
+    has_jumbo_segment |= seg.row_end - seg.row_begin == 1 &&
+                         seg.byte_size > options.target_segment_bytes;
+  }
+  ASSERT_TRUE(has_empty_segment);
+  ASSERT_TRUE(has_jumbo_segment);
+
+  CsrMatrix links = CsrMatrix::FromTriplets(
+      3, 40,
+      {{0, 3, 1.0f}, {0, 12, 0.5f}, {2, 0, 1.0f}, {2, 5, 2.0f},
+       {2, 39, 0.25f}});
+  CsrMatrix inter = CsrMatrix::FromTriplets(3, 3, {{0, 2, 1.0f}, {2, 0, 1.0f}});
+  const std::vector<int64_t> keep = {12, 3, 39, 5, 12, 0};
+
+  const int original_threads = ThreadPool::Global().NumThreads();
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThreadPool::Global().SetNumThreads(threads);
+
+    StatusOr<Tensor> spmm = ShardedSpMM(adj, x);
+    ASSERT_TRUE(spmm.ok());
+    ExpectTensorsBitIdentical(spmm.value(), a.SpMM(x));
+
+    StatusOr<std::vector<float>> sums = ShardedRowSums(adj);
+    ASSERT_TRUE(sums.ok());
+    const std::vector<float> expect_sums = a.RowSums();
+    ASSERT_EQ(sums.value().size(), expect_sums.size());
+    EXPECT_EQ(std::memcmp(sums.value().data(), expect_sums.data(),
+                          expect_sums.size() * sizeof(float)),
+              0);
+
+    const Tensor full = norm.SpMM(norm.SpMM(x));
+    StatusOr<Tensor> prop = ShardedPropagate(*f.sharded.normalized, x, 2);
+    ASSERT_TRUE(prop.ok());
+    ExpectTensorsBitIdentical(prop.value(), full);
+    StatusOr<Tensor> kept =
+        ShardedPropagate(*f.sharded.normalized, x, 2, keep);
+    ASSERT_TRUE(kept.ok());
+    ExpectTensorsBitIdentical(kept.value(), GatherRows(full, keep));
+
+    {
+      StatusOr<ShardedCsr> streamed = ShardedSymNormalize(
+          adj, f.dir + "/norm.mcss", options, 4096);
+      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+      ExpectCsrBitIdentical(streamed.value(), norm);
+    }
+    {
+      StatusOr<ShardedCsr> streamed = ShardedComposeBlockAdjacency(
+          adj, links, inter, f.dir + "/composed.mcss", options, 4096);
+      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+      ExpectCsrBitIdentical(streamed.value(),
+                            ComposeBlockAdjacency(a, links, inter));
+    }
+
+    // A partial draw and the take-every-edge path (num_pos >= nnz).
+    for (const int64_t num_pos : {int64_t{16}, int64_t{1000}}) {
+      Rng resident_rng(99), sharded_rng(99);
+      const EdgeBatch expect = SampleEdgeBatch(a, num_pos, 16, resident_rng);
+      StatusOr<EdgeBatch> got =
+          ShardedSampleEdgeBatch(adj, num_pos, 16, sharded_rng);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got.value().src, expect.src);
+      EXPECT_EQ(got.value().dst, expect.dst);
+      EXPECT_EQ(got.value().target, expect.target);
+    }
+  }
+  ThreadPool::Global().SetNumThreads(original_threads);
 }
 
 TEST(ShardedCondenseTest, FullCondenseRoundBitIdenticalToResident) {

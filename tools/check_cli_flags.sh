@@ -5,7 +5,8 @@
 # real subprocess (the full argv path, not a unit-tested parser) and
 # requires the two artifacts to be byte-identical; then round-trips each
 # through `inspect` and compares the reports. A boolean flag given in both
-# spellings must also behave identically.
+# spellings must also behave identically, and an unknown flag must be
+# rejected with exit code 2.
 #
 # Usage: check_cli_flags.sh <path-to-mcond_cli>
 # Registered as a ctest (tools/CMakeLists.txt).
@@ -63,5 +64,18 @@ if ! cmp -s "$workdir/space.bin" "$workdir/verbose_bare.bin"; then
   exit 1
 fi
 
-echo "OK: --key value, --key=value and mixed spellings parse identically across subcommands"
+# Unknown flags (here a removed option and a misspelled boolean) are
+# rejected before any work: exit code 2, with the flag named on stderr.
+for bad in "--serve_mode session" "--node_batch"; do
+  read -r -a bad_args <<< "$bad"
+  rc=0
+  "$CLI" serve "${bad_args[@]}" > /dev/null 2> "$workdir/bad.err" || rc=$?
+  if [[ "$rc" -ne 2 ]] || ! grep -q -- "${bad_args[0]}" "$workdir/bad.err"; then
+    echo "FLAG PARSE FAILURE: 'serve $bad' exited $rc instead of 2 naming the flag" >&2
+    cat "$workdir/bad.err" >&2
+    exit 1
+  fi
+done
+
+echo "OK: --key value, --key=value and mixed spellings parse identically across subcommands; unknown flags exit 2"
 exit 0

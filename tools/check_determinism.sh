@@ -16,9 +16,12 @@
 # between prefetch off (MCOND_PREFETCH_SEGMENTS=0) and on (=3) — the
 # background segment prefetcher changes timing only, never bits. Within
 # each run every streamed_<tag> digest must equal its resident_<tag>
-# counterpart — the segment-store kernels (SpMM, normalization, propagation)
-# and a full condense round are bit-identical to the resident path at every
-# thread count, segment partition and prefetch depth (docs/performance.md).
+# counterpart — the segment-store kernels (SpMM, row sums, normalization,
+# propagation, block composition, edge sampling) and a full condense round
+# are bit-identical to the resident path at every thread count, segment
+# partition and prefetch depth (docs/performance.md). The condense smoke
+# runs on the scalar tier, and again on the AVX2 tier when the CPU has
+# avx2+fma (skipped with a message otherwise).
 #
 # When given a bench_net_throughput binary it also proves the network
 # loopback contract: its --smoke digests must match between the two widths,
@@ -116,37 +119,42 @@ if [[ -n "$SERVING" ]]; then
   echo "$s_narrow"
 fi
 
-if [[ -n "$CONDENSE" ]]; then
+# check_condense <tier label> [VAR=value ...]: the out-of-core contract on
+# one SIMD tier (the extra assignments are passed to every smoke run).
+check_condense() {
+  local tier="$1"
+  shift
   # Four combos: {1, WIDE} threads x prefetch {off, on}. The `threads` and
   # `prefetch` echo lines differ by construction; every digest line must not.
-  c_narrow=$(MCOND_NUM_THREADS=1 MCOND_PREFETCH_SEGMENTS=0 "$CONDENSE" --smoke \
-             | grep -Ev '^(threads|prefetch) ')
-  c_wide=$(MCOND_NUM_THREADS="$WIDE" MCOND_PREFETCH_SEGMENTS=0 "$CONDENSE" --smoke \
-           | grep -Ev '^(threads|prefetch) ')
-  c_narrow_pf=$(MCOND_NUM_THREADS=1 MCOND_PREFETCH_SEGMENTS=3 "$CONDENSE" --smoke \
-                | grep -Ev '^(threads|prefetch) ')
-  c_wide_pf=$(MCOND_NUM_THREADS="$WIDE" MCOND_PREFETCH_SEGMENTS=3 "$CONDENSE" --smoke \
-              | grep -Ev '^(threads|prefetch) ')
+  local c_narrow c_wide c_narrow_pf c_wide_pf
+  c_narrow=$(env "$@" MCOND_NUM_THREADS=1 MCOND_PREFETCH_SEGMENTS=0 \
+             "$CONDENSE" --smoke | grep -Ev '^(threads|prefetch) ')
+  c_wide=$(env "$@" MCOND_NUM_THREADS="$WIDE" MCOND_PREFETCH_SEGMENTS=0 \
+           "$CONDENSE" --smoke | grep -Ev '^(threads|prefetch) ')
+  c_narrow_pf=$(env "$@" MCOND_NUM_THREADS=1 MCOND_PREFETCH_SEGMENTS=3 \
+                "$CONDENSE" --smoke | grep -Ev '^(threads|prefetch) ')
+  c_wide_pf=$(env "$@" MCOND_NUM_THREADS="$WIDE" MCOND_PREFETCH_SEGMENTS=3 \
+              "$CONDENSE" --smoke | grep -Ev '^(threads|prefetch) ')
 
   if [[ "$c_narrow" != "$c_wide" ]]; then
-    echo "DETERMINISM FAILURE: out-of-core checksums differ between 1 and $WIDE threads" >&2
+    echo "DETERMINISM FAILURE ($tier): out-of-core checksums differ between 1 and $WIDE threads" >&2
     diff <(echo "$c_narrow") <(echo "$c_wide") >&2 || true
     exit 1
   fi
   if [[ "$c_narrow" != "$c_narrow_pf" ]]; then
-    echo "DETERMINISM FAILURE: out-of-core checksums differ between prefetch off and on (1 thread)" >&2
+    echo "DETERMINISM FAILURE ($tier): out-of-core checksums differ between prefetch off and on (1 thread)" >&2
     diff <(echo "$c_narrow") <(echo "$c_narrow_pf") >&2 || true
     exit 1
   fi
   if [[ "$c_narrow" != "$c_wide_pf" ]]; then
-    echo "DETERMINISM FAILURE: out-of-core checksums differ between prefetch off and on ($WIDE threads)" >&2
+    echo "DETERMINISM FAILURE ($tier): out-of-core checksums differ between prefetch off and on ($WIDE threads)" >&2
     diff <(echo "$c_narrow") <(echo "$c_wide_pf") >&2 || true
     exit 1
   fi
 
   # Pair check: every streamed_<tag> must equal resident_<tag> — the
   # segment-store path changes no bits relative to the resident path.
-  paired=0
+  local paired=0 name digest tag streamed
   while read -r name digest; do
     case "$name" in
       resident_*)
@@ -154,11 +162,11 @@ if [[ -n "$CONDENSE" ]]; then
         streamed=$(echo "$c_narrow" | awk -v n="streamed_$tag" \
                    '$1 == n {print $2}')
         if [[ -z "$streamed" ]]; then
-          echo "DETERMINISM FAILURE: no streamed_$tag line to pair with $name" >&2
+          echo "DETERMINISM FAILURE ($tier): no streamed_$tag line to pair with $name" >&2
           exit 1
         fi
         if [[ "$streamed" != "$digest" ]]; then
-          echo "DETERMINISM FAILURE: streamed '$tag' differs from resident" >&2
+          echo "DETERMINISM FAILURE ($tier): streamed '$tag' differs from resident" >&2
           echo "  resident $digest" >&2
           echo "  streamed $streamed" >&2
           exit 1
@@ -168,12 +176,25 @@ if [[ -n "$CONDENSE" ]]; then
     esac
   done <<< "$c_narrow"
   if [[ "$paired" -eq 0 ]]; then
-    echo "DETERMINISM FAILURE: no resident_* digests in bench_condense_scale --smoke output" >&2
+    echo "DETERMINISM FAILURE ($tier): no resident_* digests in bench_condense_scale --smoke output" >&2
     exit 1
   fi
 
-  echo "OK: out-of-core checksums identical at 1 and $WIDE threads, prefetch off and on, streamed == resident for $paired kernels"
+  echo "OK ($tier): out-of-core checksums identical at 1 and $WIDE threads, prefetch off and on, streamed == resident for $paired kernels"
   echo "$c_narrow"
+}
+
+if [[ -n "$CONDENSE" ]]; then
+  # Without MCOND_SIMD the smoke pins the scalar tier (the exact oracle).
+  check_condense scalar
+  # The AVX2 tier is the one production condensation runs on; its row
+  # kernels carry the same exactness contract.
+  if grep -qw avx2 /proc/cpuinfo 2>/dev/null &&
+     grep -qw fma /proc/cpuinfo 2>/dev/null; then
+    check_condense avx2 MCOND_SIMD=avx2
+  else
+    echo "SKIP (avx2): this CPU lacks avx2+fma; out-of-core contract checked on the scalar tier only"
+  fi
 fi
 
 if [[ -n "$NET" ]]; then

@@ -31,7 +31,9 @@
 //       --quota_rps adds a per-tenant token-bucket admission quota.
 //
 // All flags accept both "--key value" and "--key=value" spellings
-// (tools/check_cli_flags.sh holds this invariant across subcommands).
+// (tools/check_cli_flags.sh holds this invariant across subcommands). A flag
+// that neither the command nor the global set below reads is rejected
+// before any work, with exit code 2.
 //
 // Observability flags, accepted by every command (docs/observability.md):
 //   --log_level debug|info|warn|error|off   (default: MCOND_LOG_LEVEL)
@@ -60,7 +62,8 @@
 //                  depth is recorded in the mcond.shard.prefetch.depth
 //                  gauge (visible in --metrics_out snapshots).
 //
-// Exit code 0 on success; errors print a Status message to stderr.
+// Exit code 0 on success, 2 on an unknown flag; other errors print a Status
+// message to stderr.
 
 #include <atomic>
 #include <chrono>
@@ -70,6 +73,7 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <string>
 #include <thread>
 
@@ -124,6 +128,26 @@ Args ParseArgs(int argc, char** argv) {
   }
   return args;
 }
+
+/// Flags every command reads (SetupObservability, MakeMetricsExporter,
+/// ExportObservability).
+const std::set<std::string> kGlobalFlags = {
+    "log_level", "trace_out", "metrics_out", "metrics_prom_out",
+    "metrics_export_path", "metrics_export_prom",
+    "metrics_export_interval_ms", "threads", "simd", "prefetch_segments"};
+
+/// The flags each command reads on top of kGlobalFlags.
+const std::map<std::string, std::set<std::string>> kCommandFlags = {
+    {"datasets", {}},
+    {"condense",
+     {"dataset", "ratio", "seed", "out", "epochs", "verbose",
+      "mem_budget_mb"}},
+    {"inspect", {}},
+    {"serve",
+     {"dataset", "artifact", "seed", "node-batch", "serve_concurrency",
+      "serve_queue", "listen", "registry", "bind", "quota_rps",
+      "train_epochs", "duration_s"}},
+};
 
 std::string FlagOr(const Args& args, const std::string& key,
                    const std::string& fallback) {
@@ -541,7 +565,18 @@ int Run(int argc, char** argv) {
     return 1;
   }
   const std::string cmd = argv[1];
+  const auto command = kCommandFlags.find(cmd);
+  if (command == kCommandFlags.end()) {
+    std::cerr << "unknown command: " << cmd << "\n";
+    return 1;
+  }
   const Args args = ParseArgs(argc, argv);
+  for (const auto& [key, value] : args.flags) {
+    if (kGlobalFlags.count(key) == 0 && command->second.count(key) == 0) {
+      std::cerr << "unknown flag --" << key << " for '" << cmd << "'\n";
+      return 2;
+    }
+  }
   if (!SetupObservability(args)) return 1;
   std::unique_ptr<obs::MetricsExporter> exporter = MakeMetricsExporter(args);
   if (exporter != nullptr) {
@@ -558,11 +593,8 @@ int Run(int argc, char** argv) {
     rc = CmdCondense(args);
   } else if (cmd == "inspect") {
     rc = CmdInspect(args);
-  } else if (cmd == "serve") {
-    rc = CmdServe(args);
   } else {
-    std::cerr << "unknown command: " << cmd << "\n";
-    return 1;
+    rc = CmdServe(args);
   }
   // Stop (final tick + join) before the one-shot exports so --metrics_out
   // and the exporter's last line agree on the final counter values.
