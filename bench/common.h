@@ -43,7 +43,7 @@ std::unique_ptr<GnnModel> TrainGnnOn(const Graph& graph, GnnArch arch,
 /// One method's serving numbers in both batch settings.
 struct Serving {
   double accuracy = 0.0;
-  double seconds = 0.0;  // Fastest of the timed serves.
+  double seconds = 0.0;
   int64_t memory_bytes = 0;
 };
 

@@ -19,7 +19,10 @@ int64_t RowCopyGrain(int64_t rows, int64_t nnz) {
 }
 
 /// Calls fn(col, value) for every entry of view row r of A + weight·I, in
-/// ascending column order.
+/// ascending column order: the diagonal (a.row_begin + r, weight) lands at
+/// its sorted column unless the row already stores it, which is kept as
+/// stored. The one self-loop merge, behind AddSelfLoops (the whole matrix)
+/// and the streamed normalization (row by row, nothing materialized).
 template <typename Fn>
 void ForEachSelfLoopEntry(const CsrSegmentView& a, int64_t r, float weight,
                           const Fn& fn) {
@@ -36,32 +39,49 @@ void ForEachSelfLoopEntry(const CsrSegmentView& a, int64_t r, float weight,
   if (!seen_diag) fn(diag, weight);
 }
 
+/// The SymNormalize rescale body over rows [r0, r1) of a view: out[k] =
+/// v[k] · row_scale[r] · col_scale[col], `out` indexed like the view's
+/// values (it may alias them). AVX2 gather kernel when that tier is active,
+/// bit-identical to the scalar loop.
+void SymRescaleRows(const CsrSegmentView& a, const float* row_scale,
+                    const float* col_scale, float* out, int64_t r0,
+                    int64_t r1) {
+  if (simd::UseAvx2()) {
+    // Bit-identical to the loop below: same (v·dr)·dinv[col] association,
+    // vector gather on the column factor.
+    simd::Avx2SymNormalizeRows(a.row_ptr, a.col_idx, a.values, row_scale,
+                               col_scale, out, r0, r1);
+    return;
+  }
+  for (int64_t r = r0; r < r1; ++r) {
+    const float dr = row_scale[r];
+    for (int64_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
+      out[k] = a.values[k] * dr * col_scale[a.col_idx[k]];
+    }
+  }
+}
+
 }  // namespace
 
 CsrMatrix AddSelfLoops(const CsrMatrix& a, float weight) {
   MCOND_CHECK_EQ(a.rows(), a.cols()) << "self-loops need a square matrix";
-  return AddSelfLoopRows(a.View(), a.cols(), weight);
-}
-
-CsrMatrix AddSelfLoopRows(const CsrSegmentView& a, int64_t cols,
-                          float weight) {
-  MCOND_CHECK_LE(a.row_end, cols) << "self-loop column out of range";
-  const int64_t rows = a.NumRows();
+  const CsrSegmentView view = a.View();
+  const int64_t rows = a.rows();
   std::vector<int64_t> row_ptr(static_cast<size_t>(rows) + 1, 0);
   for (int64_t r = 0; r < rows; ++r) {
     int64_t count = 0;
-    ForEachSelfLoopEntry(a, r, weight, [&](int64_t, float) { ++count; });
+    ForEachSelfLoopEntry(view, r, weight, [&](int64_t, float) { ++count; });
     row_ptr[static_cast<size_t>(r) + 1] =
         row_ptr[static_cast<size_t>(r)] + count;
   }
   std::vector<int32_t> col_idx(static_cast<size_t>(row_ptr.back()));
   std::vector<float> values(col_idx.size());
   ParallelFor(
-      0, rows, RowCopyGrain(rows, a.nnz),
+      0, rows, RowCopyGrain(rows, a.Nnz()),
       [&](int64_t r0, int64_t r1) {
         for (int64_t r = r0; r < r1; ++r) {
           size_t pos = static_cast<size_t>(row_ptr[static_cast<size_t>(r)]);
-          ForEachSelfLoopEntry(a, r, weight, [&](int64_t c, float v) {
+          ForEachSelfLoopEntry(view, r, weight, [&](int64_t c, float v) {
             col_idx[pos] = static_cast<int32_t>(c);
             values[pos] = v;
             ++pos;
@@ -69,9 +89,17 @@ CsrMatrix AddSelfLoopRows(const CsrSegmentView& a, int64_t cols,
         }
       },
       "graph.add_self_loops");
-  return CsrMatrix::FromParts(rows, cols, std::move(row_ptr),
+  return CsrMatrix::FromParts(rows, a.cols(), std::move(row_ptr),
                               std::move(col_idx), std::move(values),
                               /*validate=*/false);
+}
+
+void SelfLoopRowSums(const CsrSegmentView& a, float* out) {
+  for (int64_t r = 0; r < a.NumRows(); ++r) {
+    double acc = 0.0;
+    ForEachSelfLoopEntry(a, r, 1.0f, [&](int64_t, float v) { acc += v; });
+    out[r] = static_cast<float>(acc);
+  }
 }
 
 std::vector<float> InvSqrtDegrees(const std::vector<float>& deg) {
@@ -82,43 +110,48 @@ std::vector<float> InvSqrtDegrees(const std::vector<float>& deg) {
   return dinv_sqrt;
 }
 
-void SymRescaleView(const CsrSegmentView& a,
-                    const std::vector<float>& dinv_sqrt, float* out) {
-  const float* row_scale = dinv_sqrt.data() + a.row_begin;
-  const float* col_scale = dinv_sqrt.data();
-  const bool use_avx2 = simd::UseAvx2();
-  ParallelFor(
-      0, a.NumRows(), RowCopyGrain(a.NumRows(), a.nnz),
-      [&](int64_t r0, int64_t r1) {
-        if (use_avx2) {
-          // Bit-identical to the loop below: same (v·dr)·dinv[col]
-          // association, vector gather on the column factor.
-          simd::Avx2SymNormalizeRows(a.row_ptr, a.col_idx, a.values,
-                                     row_scale, col_scale, out, r0, r1);
-          return;
-        }
-        for (int64_t r = r0; r < r1; ++r) {
-          const float dr = row_scale[r];
-          for (int64_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
-            out[k] = a.values[k] * dr * col_scale[a.col_idx[k]];
-          }
-        }
-      },
-      "graph.sym_normalize");
+void SymNormalizedRow(const CsrSegmentView& a, int64_t r,
+                      const std::vector<float>& dinv_sqrt,
+                      std::vector<int32_t>* cols, std::vector<float>* vals) {
+  cols->clear();
+  vals->clear();
+  ForEachSelfLoopEntry(a, r, 1.0f, [&](int64_t c, float v) {
+    cols->push_back(static_cast<int32_t>(c));
+    vals->push_back(v);
+  });
+  // The merged row as a one-row view at its global row, rescaled in place.
+  const int64_t row = a.row_begin + r;
+  const int64_t row_ptr[2] = {0, static_cast<int64_t>(cols->size())};
+  const CsrSegmentView one{a.index,    row,          row + 1,
+                           row_ptr[1], row_ptr,      cols->data(),
+                           vals->data()};
+  SymRescaleRows(one, dinv_sqrt.data() + row, dinv_sqrt.data(), vals->data(),
+                 0, 1);
 }
 
 CsrMatrix SymNormalize(const CsrMatrix& a, bool add_self_loops) {
   MCOND_TRACE_SPAN("graph.sym_normalize");
   const CsrMatrix tilde = add_self_loops ? AddSelfLoops(a) : a;
+  const CsrSegmentView view = tilde.View();
+  const std::vector<float> dinv_sqrt = InvSqrtDegrees(tilde.RowSums());
   // Normalization never changes the sparsity structure — only the values.
   std::vector<float> vals(static_cast<size_t>(tilde.Nnz()));
-  SymRescaleView(tilde.View(), InvSqrtDegrees(tilde.RowSums()), vals.data());
+  ParallelFor(
+      0, tilde.rows(), RowCopyGrain(tilde.rows(), tilde.Nnz()),
+      [&](int64_t r0, int64_t r1) {
+        SymRescaleRows(view, dinv_sqrt.data(), dinv_sqrt.data(), vals.data(),
+                       r0, r1);
+      },
+      "graph.sym_normalize");
   return tilde.WithValues(std::move(vals));
 }
 
 StatusOr<Tensor> PropagateRows(const CsrSegmentSource& a_hat, const Tensor& x,
                                int64_t depth,
                                const std::vector<int64_t>& keep) {
+  if (x.rows() != a_hat.rows()) {
+    return Status::InvalidArgument("propagate: shape mismatch");
+  }
   if (depth <= 0) return keep.empty() ? x : GatherRows(x, keep);
   Tensor hold;
   const Tensor* src = &x;

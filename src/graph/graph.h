@@ -15,22 +15,21 @@ namespace mcond {
 /// one) — the Ã = A + I step of GCN normalization.
 CsrMatrix AddSelfLoops(const CsrMatrix& a, float weight = 1.0f);
 
-/// The rows of a view plus weight·I, as a NumRows × cols CSR: row r gains
-/// (a.row_begin + r, weight) at its sorted column unless it already stores
-/// its diagonal, which is kept as stored. The one self-loop merge, behind
-/// AddSelfLoops (the whole matrix) and the streamed normalization (one
-/// pinned segment at a time).
-CsrMatrix AddSelfLoopRows(const CsrSegmentView& a, int64_t cols,
-                          float weight = 1.0f);
+/// Weighted degrees of the view's rows of A + I without building it: the
+/// same double accumulation over ascending columns as RowSumsView over the
+/// merged rows. `out` points at the degree of the view's first row.
+void SelfLoopRowSums(const CsrSegmentView& a, float* out);
 
 /// D^{-1/2} from weighted degrees; zero-degree rows get 0.
 std::vector<float> InvSqrtDegrees(const std::vector<float>& deg);
 
-/// The SymNormalize rescale body over a view: out[k] = v[k] · dinv[row] ·
-/// dinv[col] with row = a.row_begin + r, `out` indexed like the view's
-/// values. Row-parallel, AVX2 gather kernel when active (bit-identical).
-void SymRescaleView(const CsrSegmentView& a,
-                    const std::vector<float>& dinv_sqrt, float* out);
+/// Row r of a view of D^{-1/2} (A + I) D^{-1/2}, written into reused
+/// buffers by the same self-loop merge and rescale bodies as SymNormalize.
+/// The streamed normalization emits its output through this, one row at a
+/// time, with dinv_sqrt = InvSqrtDegrees of the SelfLoopRowSums degrees.
+void SymNormalizedRow(const CsrSegmentView& a, int64_t r,
+                      const std::vector<float>& dinv_sqrt,
+                      std::vector<int32_t>* cols, std::vector<float>* vals);
 
 /// Symmetric GCN normalization D^{-1/2} (A + I) D^{-1/2}, where D is the
 /// (weighted) degree of A + I. Zero-degree rows stay zero.

@@ -28,19 +28,6 @@ Status ForEachSegment(const ShardedCsr& a,
   return Status::Ok();
 }
 
-/// The writer sink: appends every row of `rows` with values taken from
-/// `values` (indexed like the view's entries).
-Status AppendRows(const CsrSegmentView& rows, const float* values,
-                  ShardedCsrWriter* writer) {
-  for (int64_t r = 0; r < rows.NumRows(); ++r) {
-    MCOND_RETURN_IF_ERROR(writer->AppendRow(rows.col_idx + rows.row_ptr[r],
-                                            values + rows.row_ptr[r],
-                                            rows.row_ptr[r + 1] -
-                                                rows.row_ptr[r]));
-  }
-  return Status::Ok();
-}
-
 /// A ShardedCsr as the shared row loops see it: kept-row walks pin through
 /// a cursor over exactly the segments they need (so prefetch works ahead
 /// even when the rows skip segments); random access pins one segment at a
@@ -133,26 +120,28 @@ StatusOr<ShardedCsr> ShardedSymNormalize(const ShardedCsr& a,
   }
   MCOND_TRACE_SPAN("graph.sharded_sym_normalize");
   const int64_t n = a.rows();
-  // Pass 1: degrees of Ã = A + I, one segment-local Ã block at a time.
+  // Pass 1: degrees of Ã = A + I, merged row by row, nothing materialized.
   std::vector<float> deg(static_cast<size_t>(n));
   MCOND_RETURN_IF_ERROR(ForEachSegment(a, [&](const CsrSegmentView& seg) {
-    const std::vector<float> sums = AddSelfLoopRows(seg, n).RowSums();
-    std::copy(sums.begin(), sums.end(), deg.begin() + seg.row_begin);
+    SelfLoopRowSums(seg, deg.data() + seg.row_begin);
     return Status::Ok();
   }));
   const std::vector<float> dinv_sqrt = InvSqrtDegrees(deg);
 
-  // Pass 2: rebuild each block, rescale it, and stream it to the new store.
+  // Pass 2: each normalized row through one reused buffer to the writer.
   StatusOr<ShardedCsrWriter> writer =
       ShardedCsrWriter::Create(out_path, n, n, options);
   if (!writer.ok()) return writer.status();
-  std::vector<float> vals;
+  std::vector<int32_t> row_cols;
+  std::vector<float> row_vals;
   MCOND_RETURN_IF_ERROR(ForEachSegment(a, [&](const CsrSegmentView& seg) {
-    const CsrMatrix tilde = AddSelfLoopRows(seg, n);
-    const CsrSegmentView rows = tilde.View(seg.row_begin);
-    vals.resize(static_cast<size_t>(tilde.Nnz()));
-    SymRescaleView(rows, dinv_sqrt, vals.data());
-    return AppendRows(rows, vals.data(), &writer.value());
+    for (int64_t r = 0; r < seg.NumRows(); ++r) {
+      SymNormalizedRow(seg, r, dinv_sqrt, &row_cols, &row_vals);
+      MCOND_RETURN_IF_ERROR(writer.value().AppendRow(
+          row_cols.data(), row_vals.data(),
+          static_cast<int64_t>(row_cols.size())));
+    }
+    return Status::Ok();
   }));
   MCOND_RETURN_IF_ERROR(writer.value().Finalize());
   return ShardedCsr::Open(out_path, mem_budget_bytes);

@@ -74,6 +74,17 @@ TEST(GraphOpsTest, SymNormalizeZeroDegreeRowStaysZero) {
   EXPECT_EQ(norm.Nnz(), 0);
 }
 
+TEST(GraphOpsTest, PropagateRowsRejectsMisshapedFeatures) {
+  // The kept-row hop reads x by column index of Â, so a feature matrix with
+  // fewer rows than Â has nodes must be refused, not read out of bounds.
+  const CsrMatrix norm = SymNormalize(PathGraph3());
+  const StatusOr<Tensor> out =
+      PropagateRows(ResidentSegments(norm), Tensor::Ones(2, 4), /*depth=*/1,
+                    /*keep=*/{0, 2});
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(GraphOpsTest, RowNormalizeRowsSumToOne) {
   CsrMatrix norm = RowNormalize(AddSelfLoops(PathGraph3()));
   for (float s : norm.RowSums()) EXPECT_NEAR(s, 1.0f, 1e-5f);

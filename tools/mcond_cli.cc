@@ -79,6 +79,7 @@
 
 #include "condense/artifact_io.h"
 #include "condense/mcond.h"
+#include "core/logging.h"
 #include "core/parallel.h"
 #include "core/segment_prefetcher.h"
 #include "core/simd.h"
@@ -104,10 +105,16 @@ namespace {
 struct Args {
   std::map<std::string, std::string> flags;
   std::vector<std::string> positional;
+  /// The flags the command may read: kGlobalFlags plus its kCommandFlags
+  /// entry. Run rejects any other given flag, and every read (FlagOr,
+  /// HasFlag) is checked against this set, so the tables below are the one
+  /// list of flags: a read of an unlisted flag aborts on its first use.
+  std::set<std::string> known;
 };
 
-Args ParseArgs(int argc, char** argv) {
+Args ParseArgs(int argc, char** argv, std::set<std::string> known) {
   Args args;
+  args.known = std::move(known);
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) == 0) {
@@ -149,10 +156,22 @@ const std::map<std::string, std::set<std::string>> kCommandFlags = {
       "train_epochs", "duration_s"}},
 };
 
+/// The value given for --key, or null; `key` must be one the command lists.
+const std::string* FindFlag(const Args& args, const std::string& key) {
+  MCOND_CHECK(args.known.count(key) > 0)
+      << "--" << key << " is read but not listed in kCommandFlags";
+  const auto it = args.flags.find(key);
+  return it == args.flags.end() ? nullptr : &it->second;
+}
+
 std::string FlagOr(const Args& args, const std::string& key,
                    const std::string& fallback) {
-  const auto it = args.flags.find(key);
-  return it == args.flags.end() ? fallback : it->second;
+  const std::string* value = FindFlag(args, key);
+  return value == nullptr ? fallback : *value;
+}
+
+bool HasFlag(const Args& args, const std::string& key) {
+  return FindFlag(args, key) != nullptr;
 }
 
 int CmdDatasets() {
@@ -180,8 +199,8 @@ int CmdCondense(const Args& args) {
     return 1;
   }
   DatasetSpec s = spec.value();
-  if (args.flags.count("epochs") > 0) {
-    s.condensation_epochs = std::stoll(args.flags.at("epochs"));
+  if (HasFlag(args, "epochs")) {
+    s.condensation_epochs = std::stoll(FlagOr(args, "epochs", ""));
   }
   InductiveDataset data = MakeDataset(s, seed);
   const int64_t n_syn = SyntheticNodeCount(data.train_graph, ratio);
@@ -191,7 +210,7 @@ int CmdCondense(const Args& args) {
   MCondConfig config;
   config.outer_rounds =
       std::max<int64_t>(1, s.condensation_epochs / 15);
-  config.verbose = args.flags.count("verbose") > 0;
+  config.verbose = HasFlag(args, "verbose");
   const int64_t mem_budget_mb =
       std::stoll(FlagOr(args, "mem_budget_mb", "0"));
   MCondResult result;
@@ -327,11 +346,11 @@ int CmdServeNet(const Args& args) {
 }
 
 int CmdServe(const Args& args) {
-  if (args.flags.count("listen") > 0) return CmdServeNet(args);
+  if (HasFlag(args, "listen")) return CmdServeNet(args);
   const std::string dataset = FlagOr(args, "dataset", "tiny-sim");
   const std::string artifact = FlagOr(args, "artifact", "condensed.bin");
   const uint64_t seed = std::stoull(FlagOr(args, "seed", "1"));
-  const bool graph_batch = args.flags.count("node-batch") == 0;
+  const bool graph_batch = !HasFlag(args, "node-batch");
   StatusOr<CondensedGraph> loaded = LoadCondensedGraph(artifact);
   if (!loaded.ok()) {
     std::cerr << loaded.status().ToString() << "\n";
@@ -570,9 +589,11 @@ int Run(int argc, char** argv) {
     std::cerr << "unknown command: " << cmd << "\n";
     return 1;
   }
-  const Args args = ParseArgs(argc, argv);
+  std::set<std::string> known = kGlobalFlags;
+  known.insert(command->second.begin(), command->second.end());
+  const Args args = ParseArgs(argc, argv, std::move(known));
   for (const auto& [key, value] : args.flags) {
-    if (kGlobalFlags.count(key) == 0 && command->second.count(key) == 0) {
+    if (args.known.count(key) == 0) {
       std::cerr << "unknown flag --" << key << " for '" << cmd << "'\n";
       return 2;
     }
