@@ -41,8 +41,10 @@
 //              the concurrent row: JSONL time series to F plus a printed
 //              per-interval req/s + p50/p99 + rejects/s timeline.
 //   --smoke    tiny-sim, one pass, prints bit-level logit checksums for
-//              both paths and both batch modes, plus order-invariant
-//              concurrent checksum sums at K=1 and K=8 (micro-batched).
+//              both paths and both batch modes (SGC, GraphSAGE and
+//              Cheby, one per operator kind, on both deployments), plus
+//              order-invariant concurrent checksum sums at K=1 and K=8
+//              (micro-batched).
 //              tools/check_determinism.sh diffs this output between thread
 //              widths AND asserts the per_request/session checksum pairs
 //              and the concurrent sums match within a run.
@@ -54,6 +56,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/logging.h"
@@ -185,8 +188,9 @@ PathStats RunConcurrent(GnnModel& model, const Graph& base,
                         bool graph_batch, int64_t passes,
                         const ConcurrentOptions& opt) {
   std::shared_ptr<const SessionBase> session_base =
-      condensed != nullptr ? SessionBase::Build(*condensed)
-                           : SessionBase::Build(base);
+      condensed != nullptr
+          ? SessionBase::Build(*condensed, {model.ReadsOperator()})
+          : SessionBase::Build(base, {model.ReadsOperator()});
   ConcurrentServer::Config cfg;
   cfg.num_replicas = opt.server_threads;
   cfg.queue_capacity = opt.queue_capacity;
@@ -295,6 +299,15 @@ Workload MakeWorkload(const std::string& dataset, int64_t batch_size) {
 int RunSmoke() {
   std::printf("threads %d\n", ThreadPool::Global().NumThreads());
   Workload w = MakeWorkload("tiny-sim", 8);
+  // GraphSAGE and Cheby read the other two operator kinds (row_norm,
+  // sym_no_loop), so the pairs below gate every kind a session composes.
+  const Graph& train = w.data.train_graph;
+  Rng arch_rng(19);
+  const std::pair<const char*, std::unique_ptr<GnnModel>> other_archs[] = {
+      {"sage", MakeGnn(GnnArch::kGraphSage, train.FeatureDim(),
+                       train.num_classes(), GnnConfig{}, arch_rng)},
+      {"cheby", MakeGnn(GnnArch::kCheby, train.FeatureDim(),
+                        train.num_classes(), GnnConfig{}, arch_rng)}};
   for (const bool graph_batch : {true, false}) {
     const char* tag = graph_batch ? "graph" : "node";
     // Fresh Rngs per path: SGC's Predict is deterministic, but identical
@@ -320,6 +333,22 @@ int RunSmoke() {
     std::printf("logits_per_request_orig_%s %016" PRIx64 "\n", tag,
                 pro.checksum);
     std::printf("logits_session_orig_%s %016" PRIx64 "\n", tag, seo.checksum);
+    for (const auto& [arch, model] : other_archs) {
+      for (const bool on_condensed : {true, false}) {
+        const CondensedGraph* cg = on_condensed ? &w.condensed : nullptr;
+        Rng rng_p(7), rng_s(7);
+        const PathStats p = RunPerRequest(*model, train, cg, w.batches,
+                                          graph_batch, /*passes=*/1, rng_p);
+        const PathStats q = RunSession(*model, train, cg, w.batches,
+                                       graph_batch, /*passes=*/1, rng_s);
+        const std::string t =
+            std::string(on_condensed ? "" : "orig_") + arch + "_" + tag;
+        std::printf("logits_per_request_%s %016" PRIx64 "\n", t.c_str(),
+                    p.checksum);
+        std::printf("logits_session_%s %016" PRIx64 "\n", t.c_str(),
+                    q.checksum);
+      }
+    }
 
     // Concurrent serving must reproduce the solo bits at every replica
     // count and with micro-batching. Four closed-loop clients each stream

@@ -59,6 +59,22 @@ Status CheckHeader(std::istream& in, uint32_t expected_magic,
   return Status::Ok();
 }
 
+// Elements a header may declare at most, whatever the stream holds.
+constexpr int64_t kMaxElements = int64_t{1} << 34;
+
+/// Whether `count` elements of `elem_bytes` each fit in what `in` still
+/// holds, so a hostile header cannot drive an allocation past the payload.
+/// A stream that cannot seek is bounded by kMaxElements alone.
+bool FitsInStream(std::istream& in, int64_t count, int64_t elem_bytes) {
+  if (count < 0 || count > kMaxElements) return false;
+  const std::streampos pos = in.tellg();
+  if (pos < 0) return true;
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(pos);
+  return count <= static_cast<int64_t>(end - pos) / elem_bytes;
+}
+
 }  // namespace
 
 Status WriteTensor(std::ostream& out, const Tensor& t) {
@@ -77,7 +93,10 @@ StatusOr<Tensor> ReadTensor(std::istream& in) {
   if (!ReadPod(in, &rows) || !ReadPod(in, &cols)) {
     return Status::InvalidArgument("truncated tensor shape");
   }
-  if (rows < 0 || cols < 0 || rows * cols > (int64_t{1} << 34)) {
+  // rows > kMaxElements / cols, not rows * cols > kMaxElements: the
+  // product of two hostile int64s overflows.
+  if (rows < 0 || cols < 0 || (cols > 0 && rows > kMaxElements / cols) ||
+      !FitsInStream(in, rows * cols, sizeof(float))) {
     return Status::InvalidArgument("implausible tensor shape");
   }
   std::vector<float> data(static_cast<size_t>(rows * cols));
@@ -106,7 +125,9 @@ StatusOr<CsrMatrix> ReadCsrMatrix(std::istream& in) {
   if (!ReadPod(in, &rows) || !ReadPod(in, &cols) || !ReadPod(in, &nnz)) {
     return Status::InvalidArgument("truncated csr shape");
   }
-  if (rows < 0 || cols < 0 || nnz < 0 || nnz > (int64_t{1} << 34)) {
+  if (rows < 0 || cols < 0 || nnz < 0 ||
+      !FitsInStream(in, rows, sizeof(int64_t)) ||
+      !FitsInStream(in, nnz, sizeof(int32_t) + sizeof(float))) {
     return Status::InvalidArgument("implausible csr shape");
   }
   std::vector<int64_t> row_ptr(static_cast<size_t>(rows) + 1);

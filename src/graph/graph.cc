@@ -18,27 +18,6 @@ int64_t RowCopyGrain(int64_t rows, int64_t nnz) {
   return GrainFromCost(2 * (nnz / std::max<int64_t>(rows, 1) + 1));
 }
 
-/// Calls fn(col, value) for every entry of view row r of A + weight·I, in
-/// ascending column order: the diagonal (a.row_begin + r, weight) lands at
-/// its sorted column unless the row already stores it, which is kept as
-/// stored. The one self-loop merge, behind AddSelfLoops (the whole matrix)
-/// and the streamed normalization (row by row, nothing materialized).
-template <typename Fn>
-void ForEachSelfLoopEntry(const CsrSegmentView& a, int64_t r, float weight,
-                          const Fn& fn) {
-  const int64_t diag = a.row_begin + r;
-  bool seen_diag = false;
-  for (int64_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
-    const int32_t c = a.col_idx[k];
-    if (!seen_diag && c >= diag) {
-      if (c > diag) fn(diag, weight);
-      seen_diag = true;
-    }
-    fn(c, a.values[k]);
-  }
-  if (!seen_diag) fn(diag, weight);
-}
-
 /// The SymNormalize rescale body over rows [r0, r1) of a view: out[k] =
 /// v[k] · row_scale[r] · col_scale[col], `out` indexed like the view's
 /// values (it may alias them). AVX2 gather kernel when that tier is active,
@@ -287,7 +266,6 @@ Graph::Graph(CsrMatrix adjacency, Tensor features,
     MCOND_CHECK(y >= -1 && y < num_classes_) << "label " << y;
   }
   normalized_ = SymNormalize(adjacency_);
-  row_normalized_ = RowNormalize(AddSelfLoops(adjacency_));
 }
 
 int64_t Graph::StorageBytes() const {

@@ -15,6 +15,28 @@ namespace mcond {
 /// one) — the Ã = A + I step of GCN normalization.
 CsrMatrix AddSelfLoops(const CsrMatrix& a, float weight = 1.0f);
 
+/// Calls fn(col, value) for every entry of view row r of A + weight·I, in
+/// ascending column order: the diagonal (a.row_begin + r, weight) lands at
+/// its sorted column unless the row already stores it, which is kept as
+/// stored. The one self-loop merge, behind AddSelfLoops (the whole matrix),
+/// the streamed normalization (row by row, nothing materialized) and the
+/// serving session's batch rows.
+template <typename Fn>
+void ForEachSelfLoopEntry(const CsrSegmentView& a, int64_t r, float weight,
+                          const Fn& fn) {
+  const int64_t diag = a.row_begin + r;
+  bool seen_diag = false;
+  for (int64_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
+    const int32_t c = a.col_idx[k];
+    if (!seen_diag && c >= diag) {
+      if (c > diag) fn(diag, weight);
+      seen_diag = true;
+    }
+    fn(c, a.values[k]);
+  }
+  if (!seen_diag) fn(diag, weight);
+}
+
 /// Weighted degrees of the view's rows of A + I without building it: the
 /// same double accumulation over ascending columns as RowSumsView over the
 /// merged rows. `out` points at the degree of the view's first row.
@@ -112,8 +134,6 @@ class Graph {
 
   const CsrMatrix& adjacency() const { return adjacency_; }
   const CsrMatrix& normalized_adjacency() const { return normalized_; }
-  /// Row-normalized (A + I); used by GraphSAGE-style mean aggregation.
-  const CsrMatrix& row_normalized_adjacency() const { return row_normalized_; }
   const Tensor& features() const { return features_; }
   const std::vector<int64_t>& labels() const { return labels_; }
 
@@ -131,7 +151,6 @@ class Graph {
  private:
   CsrMatrix adjacency_;
   CsrMatrix normalized_;
-  CsrMatrix row_normalized_;
   Tensor features_;
   std::vector<int64_t> labels_;
   int64_t num_classes_;

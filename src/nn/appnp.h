@@ -16,6 +16,9 @@ class Appnp : public GnnModel {
 
   Variable Forward(const GraphOperators& g, const Variable& x, bool training,
                    Rng& rng) override;
+  OperatorKind ReadsOperator() const override {
+    return OperatorKind::kGcnNorm;
+  }
 
   std::vector<Variable> Parameters() const override;
   void ResetParameters(Rng& rng) override;

@@ -37,6 +37,26 @@ class Module {
   Module() = default;
 };
 
+/// One normalized message-passing operator over a raw adjacency A, as
+/// (self-loops or not) × (symmetric 1/sqrt(deg) scaling on both sides, or
+/// row 1/deg scaling), where deg is the weighted row degree of the matrix
+/// being scaled.
+enum class OperatorKind {
+  kGcnNorm,    // D^{-1/2}(A+I)D^{-1/2}
+  kRowNorm,    // D^{-1}(A+I)
+  kSymNoLoop,  // D^{-1/2} A D^{-1/2}
+};
+
+inline const std::vector<OperatorKind> kAllOperatorKinds = {
+    OperatorKind::kGcnNorm, OperatorKind::kRowNorm, OperatorKind::kSymNoLoop};
+
+constexpr bool HasSelfLoops(OperatorKind kind) {
+  return kind != OperatorKind::kSymNoLoop;
+}
+constexpr bool IsSymmetric(OperatorKind kind) {
+  return kind != OperatorKind::kRowNorm;
+}
+
 /// The message-passing operators an architecture may need, precomputed once
 /// per deployment graph. Built from a raw (self-loop-free) adjacency.
 struct GraphOperators {
@@ -53,7 +73,11 @@ struct GraphOperators {
     return FromAdjacency(g.adjacency());
   }
 
-  int64_t NumNodes() const { return gcn_norm.rows(); }
+  CsrMatrix& Get(OperatorKind kind) {
+    return kind == OperatorKind::kGcnNorm  ? gcn_norm
+           : kind == OperatorKind::kRowNorm ? row_norm
+                                            : sym_no_loop;
+  }
 };
 
 /// A node-level GNN: maps (graph operators, features) to per-node logits.
@@ -63,6 +87,9 @@ class GnnModel : public Module {
   /// `rng`.
   virtual Variable Forward(const GraphOperators& g, const Variable& x,
                            bool training, Rng& rng) = 0;
+
+  /// The one operator Forward reads; the others may be left empty.
+  virtual OperatorKind ReadsOperator() const = 0;
 
   /// Inference convenience: constant features, no dropout.
   Tensor Predict(const GraphOperators& g, const Tensor& x, Rng& rng) {

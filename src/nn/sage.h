@@ -15,6 +15,9 @@ class GraphSage : public GnnModel {
 
   Variable Forward(const GraphOperators& g, const Variable& x, bool training,
                    Rng& rng) override;
+  OperatorKind ReadsOperator() const override {
+    return OperatorKind::kRowNorm;
+  }
 
   std::vector<Variable> Parameters() const override;
   void ResetParameters(Rng& rng) override;

@@ -30,6 +30,8 @@ namespace mcond {
 //  - RowNormalize: inv = deg != 0f ? 1.0f/deg : 0f, value = v * inv. Its
 //    entry-dropping corner (deg == 0 with stored entries) changes the
 //    structure and is routed to FallbackCompose instead.
+//  - OperatorScale / ScaledEntry (session_base.h) are those expressions,
+//    and ForEachSelfLoopEntry is AddSelfLoops' own merge.
 //  - CsrMatrix::Multiply accumulates acc[c] += av*bv in (ka asc, kb asc)
 //    order from an exact 0.0f, then emits each row's touched columns in
 //    ascending order. ConvertLinks reproduces exactly that.
@@ -54,39 +56,57 @@ int64_t CsrStorageBytes(const CsrMatrix& m) {
   return VecBytes(m.row_ptr()) + VecBytes(m.col_idx()) + VecBytes(m.values());
 }
 
+/// Calls fn(j, v) for the entries batch row i holds after its links, in
+/// composed order: its inter row (local columns j), with the self-loop
+/// (i, 1) merged at its sorted column for the kinds that have one. `inter`
+/// is null in the node-batch setting.
+template <typename Fn>
+void ForEachTailEntry(const CsrMatrix* inter, int64_t i, bool self_loops,
+                      const Fn& fn) {
+  if (inter == nullptr) {
+    if (self_loops) fn(i, 1.0f);
+  } else if (self_loops) {
+    ForEachSelfLoopEntry(inter->View(), i, 1.0f, fn);
+  } else {
+    for (int64_t k = inter->row_ptr()[static_cast<size_t>(i)];
+         k < inter->row_ptr()[static_cast<size_t>(i) + 1]; ++k) {
+      fn(inter->col_idx()[static_cast<size_t>(k)],
+         inter->values()[static_cast<size_t>(k)]);
+    }
+  }
+}
+
 }  // namespace
 
 ServingSession::ServingSession(const Graph& base, GnnModel& model)
-    : ServingSession(SessionBase::Build(base), model) {}
+    : ServingSession(SessionBase::Build(base, {model.ReadsOperator()}),
+                     model) {}
 
 ServingSession::ServingSession(const CondensedGraph& condensed,
                                GnnModel& model)
-    : ServingSession(SessionBase::Build(condensed), model) {}
+    : ServingSession(SessionBase::Build(condensed, {model.ReadsOperator()}),
+                     model) {}
 
 ServingSession::ServingSession(std::shared_ptr<const SessionBase> base,
                                GnnModel& model)
     : base_(std::move(base)),
       model_(model),
+      op_(base_->op(model.ReadsOperator())),
       requests_(obs::GetCounter("mcond.serve.session_requests")),
       fallbacks_(obs::GetCounter("mcond.serve.session_fallbacks")),
       convert_hist_(obs::GetHistogram("mcond.serve.session_convert_us")),
       compose_hist_(obs::GetHistogram("mcond.serve.session_compose_us")),
       forward_hist_(obs::GetHistogram("mcond.serve.session_forward_us")),
       total_hist_(obs::GetHistogram("mcond.serve.session_total_us")) {
-  MCOND_CHECK(base_ != nullptr);
   n_base_ = base_->n_base;
   feat_dim_ = base_->feat_dim;
   const size_t n = static_cast<size_t>(n_base_);
   changed_stamp_.assign(n, 0);
   changed_.reserve(n);
   extra_.resize(n);
-  new_acc_loop_.resize(n);
-  new_acc_noloop_.resize(n);
-  new_dinv_gcn_.resize(n);
-  new_inv_row_.resize(n);
-  new_dinv_noloop_.resize(n);
-  cursor_loop_.resize(n);
-  cursor_noloop_.resize(n);
+  new_acc_.resize(n);
+  new_scale_.resize(n);
+  cursor_.resize(n);
   if (base_->mapping != nullptr) {
     conv_acc_.assign(n, 0.0f);
     conv_stamp_.assign(n, 0);
@@ -107,11 +127,8 @@ void ServingSession::EnsureBatchShape(int64_t n) {
                         sizeof(float));
       },
       "serve.session.base_features");
-  const size_t ns = static_cast<size_t>(n);
-  b_dinv_gcn_.resize(ns);
-  b_inv_row_.resize(ns);
-  b_dinv_noloop_.resize(ns);
-  conv_rp_.resize(ns + 1);
+  b_scale_.resize(static_cast<size_t>(n));
+  conv_rp_.resize(static_cast<size_t>(n) + 1);
   cur_n_ = n;
 }
 
@@ -167,145 +184,93 @@ ServingSession::LinksView ServingSession::ConvertLinks(
 
 bool ServingSession::ComputeDegrees(const LinksView& lv,
                                     const CsrMatrix* inter, int64_t n) {
-  const SessionBase& sb = *base_;
+  const bool sym = IsSymmetric(op_.kind);
   changed_.clear();
-  // Pass 1: which base rows gain a link, and their updated exact degree
-  // accumulators. Iterating batch rows in ascending order appends each
-  // contribution in exactly the order RowSums would visit the composed
-  // row's appended entries.
+  // Base rows gaining a link, and their updated exact degree partials.
+  // Iterating batch rows in ascending order appends each contribution in
+  // exactly the order RowSums would visit the composed row's appended
+  // entries.
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t k = lv.row_ptr[i]; k < lv.row_ptr[i + 1]; ++k) {
-      const int32_t c = lv.col_idx[k];
-      const size_t cs = static_cast<size_t>(c);
+      const size_t cs = static_cast<size_t>(lv.col_idx[k]);
       if (changed_stamp_[cs] != epoch_) {
         changed_stamp_[cs] = epoch_;
-        changed_.push_back(c);
+        changed_.push_back(lv.col_idx[k]);
         extra_[cs] = 0;
-        new_acc_loop_[cs] = sb.deg_loop_acc[cs];
-        new_acc_noloop_[cs] = sb.deg_noloop_acc[cs];
+        new_acc_[cs] = op_.deg_acc[cs];
       }
       ++extra_[cs];
-      const float v = lv.values[k];
-      new_acc_loop_[cs] += v;
-      new_acc_noloop_[cs] += v;
+      new_acc_[cs] += lv.values[k];
     }
   }
   for (const int32_t c : changed_) {
     const size_t cs = static_cast<size_t>(c);
-    const float deg = static_cast<float>(new_acc_loop_[cs]);
-    // A changed base row always has stored entries (its self-loop at
-    // least), so degree 0 means RowNormalize would drop its entries.
-    if (deg == 0.0f) return false;
-    new_dinv_gcn_[cs] = deg > 0.0f ? 1.0f / std::sqrt(deg) : 0.0f;
-    new_inv_row_[cs] = 1.0f / deg;
-    const float deg_nl = static_cast<float>(new_acc_noloop_[cs]);
-    new_dinv_noloop_[cs] = deg_nl > 0.0f ? 1.0f / std::sqrt(deg_nl) : 0.0f;
+    const float deg = static_cast<float>(new_acc_[cs]);
+    // A changed base row stores at least its new link, so degree 0 means
+    // RowNormalize would drop its entries.
+    if (!sym && deg == 0.0f) return false;
+    new_scale_[cs] = OperatorScale(sym, deg);
   }
-  // Pass 2: batch-row degrees, accumulated in composed storage order —
-  // link entries first, then the merged (inter, self-loop) tail.
+  // Batch rows, accumulated in composed storage order: link entries first,
+  // then the tail.
   for (int64_t i = 0; i < n; ++i) {
-    double acc_l = 0.0;
-    double acc_nl = 0.0;
+    double acc = 0.0;
+    int64_t nnz = lv.row_ptr[i + 1] - lv.row_ptr[i];
     for (int64_t k = lv.row_ptr[i]; k < lv.row_ptr[i + 1]; ++k) {
-      acc_l += lv.values[k];
-      acc_nl += lv.values[k];
+      acc += lv.values[k];
     }
-    if (inter != nullptr) {
-      bool saw_diag = false;
-      for (int64_t k = inter->row_ptr()[static_cast<size_t>(i)];
-           k < inter->row_ptr()[static_cast<size_t>(i) + 1]; ++k) {
-        const int32_t j = inter->col_idx()[static_cast<size_t>(k)];
-        if (!saw_diag && j > i) {
-          acc_l += 1.0;  // implicit self-loop sorts before this entry
-          saw_diag = true;
-        }
-        if (j == i) saw_diag = true;
-        acc_l += inter->values()[static_cast<size_t>(k)];
-        acc_nl += inter->values()[static_cast<size_t>(k)];
-      }
-      if (!saw_diag) acc_l += 1.0;
-    } else {
-      acc_l += 1.0;  // node-batch: the self-loop is the only tail entry
-    }
-    const float deg = static_cast<float>(acc_l);
-    if (deg == 0.0f) return false;  // row has entries; RowNormalize drops
-    const size_t is = static_cast<size_t>(i);
-    b_dinv_gcn_[is] = deg > 0.0f ? 1.0f / std::sqrt(deg) : 0.0f;
-    b_inv_row_[is] = 1.0f / deg;
-    const float deg_nl = static_cast<float>(acc_nl);
-    b_dinv_noloop_[is] = deg_nl > 0.0f ? 1.0f / std::sqrt(deg_nl) : 0.0f;
+    ForEachTailEntry(inter, i, HasSelfLoops(op_.kind),
+                     [&](int64_t, float v) {
+                       acc += v;
+                       ++nnz;
+                     });
+    const float deg = static_cast<float>(acc);
+    if (!sym && deg == 0.0f && nnz > 0) return false;
+    b_scale_[static_cast<size_t>(i)] = OperatorScale(sym, deg);
   }
   return true;
 }
 
 void ServingSession::BuildComposed(const LinksView& lv,
                                    const CsrMatrix* inter, int64_t n) {
-  const SessionBase& sb = *base_;
+  const CsrMatrix& s = op_.structure;
+  const bool sym = IsSymmetric(op_.kind);
+  const bool self_loops = HasSelfLoops(op_.kind);
   const int64_t total = n_base_ + n;
-  const CsrMatrix& raw = sb.base_graph.adjacency();
-  const CsrMatrix& base_loops = sb.base_loops;
+  const auto changed = [&](size_t r) { return changed_stamp_[r] == epoch_; };
 
-  // Row extents. Batch loop-rows carry an extra self-loop entry unless the
-  // inter row already stores its diagonal.
-  gcn_rp_.resize(static_cast<size_t>(total) + 1);
-  sym_rp_.resize(static_cast<size_t>(total) + 1);
-  gcn_rp_[0] = 0;
-  sym_rp_[0] = 0;
+  // Row extents: base rows grow by their appended links; batch rows hold
+  // their links and then their tail.
+  rp_.resize(static_cast<size_t>(total) + 1);
+  rp_[0] = 0;
   for (int64_t r = 0; r < n_base_; ++r) {
     const size_t rs = static_cast<size_t>(r);
-    const int64_t ext = changed_stamp_[rs] == epoch_ ? extra_[rs] : 0;
-    gcn_rp_[rs + 1] = gcn_rp_[rs] + base_loops.RowNnz(r) + ext;
-    sym_rp_[rs + 1] = sym_rp_[rs] + raw.RowNnz(r) + ext;
+    rp_[rs + 1] = rp_[rs] + s.RowNnz(r) + (changed(rs) ? extra_[rs] : 0);
   }
   for (int64_t i = 0; i < n; ++i) {
     const size_t rs = static_cast<size_t>(n_base_ + i);
-    const int64_t nl = lv.row_ptr[i + 1] - lv.row_ptr[i];
-    int64_t tail_loop = 1;  // the self-loop
-    int64_t tail_sym = 0;
-    if (inter != nullptr) {
-      tail_sym = inter->RowNnz(i);
-      tail_loop = tail_sym + (inter->HasEntry(i, i) ? 0 : 1);
-    }
-    gcn_rp_[rs + 1] = gcn_rp_[rs] + nl + tail_loop;
-    sym_rp_[rs + 1] = sym_rp_[rs] + nl + tail_sym;
+    int64_t tail = 0;
+    ForEachTailEntry(inter, i, self_loops, [&](int64_t, float) { ++tail; });
+    rp_[rs + 1] = rp_[rs] + (lv.row_ptr[i + 1] - lv.row_ptr[i]) + tail;
   }
-  const int64_t nnz_loop = gcn_rp_[static_cast<size_t>(total)];
-  const int64_t nnz_sym = sym_rp_[static_cast<size_t>(total)];
-  gcn_ci_.resize(static_cast<size_t>(nnz_loop));
-  gcn_v_.resize(static_cast<size_t>(nnz_loop));
-  row_v_.resize(static_cast<size_t>(nnz_loop));
-  sym_ci_.resize(static_cast<size_t>(nnz_sym));
-  sym_v_.resize(static_cast<size_t>(nnz_sym));
+  ci_.resize(static_cast<size_t>(rp_[static_cast<size_t>(total)]));
+  v_.resize(ci_.size());
 
-  // Base rows: copy structure + cached normalized values in parallel.
-  // Changed rows get their values overwritten by the patch phases below.
-  const float* gcn_base_v = sb.base_graph.normalized_adjacency().values().data();
-  const float* row_base_v =
-      sb.base_graph.row_normalized_adjacency().values().data();
-  const float* sym_base_v = sb.sym_base.values().data();
+  // Compose pass, base rows: copy structure + cached normalized values in
+  // parallel. Changed rows get their values overwritten by the patch pass.
   ParallelFor(
-      0, n_base_, RowGrain(base_loops.Nnz() + raw.Nnz(), n_base_),
+      0, n_base_, RowGrain(s.Nnz(), n_base_),
       [&](int64_t r0, int64_t r1) {
         for (int64_t r = r0; r < r1; ++r) {
           const size_t rs = static_cast<size_t>(r);
-          const int64_t src = base_loops.row_ptr()[rs];
-          const int64_t nb = base_loops.RowNnz(r);
-          const int64_t dst = gcn_rp_[rs];
-          std::memcpy(gcn_ci_.data() + dst, base_loops.col_idx().data() + src,
+          const int64_t src = s.row_ptr()[rs];
+          const int64_t nb = s.RowNnz(r);
+          const int64_t dst = rp_[rs];
+          std::memcpy(ci_.data() + dst, s.col_idx().data() + src,
                       static_cast<size_t>(nb) * sizeof(int32_t));
-          std::memcpy(gcn_v_.data() + dst, gcn_base_v + src,
+          std::memcpy(v_.data() + dst, op_.values.data() + src,
                       static_cast<size_t>(nb) * sizeof(float));
-          std::memcpy(row_v_.data() + dst, row_base_v + src,
-                      static_cast<size_t>(nb) * sizeof(float));
-          cursor_loop_[rs] = dst + nb;
-          const int64_t src_nl = raw.row_ptr()[rs];
-          const int64_t nb_nl = raw.RowNnz(r);
-          const int64_t dst_nl = sym_rp_[rs];
-          std::memcpy(sym_ci_.data() + dst_nl, raw.col_idx().data() + src_nl,
-                      static_cast<size_t>(nb_nl) * sizeof(int32_t));
-          std::memcpy(sym_v_.data() + dst_nl, sym_base_v + src_nl,
-                      static_cast<size_t>(nb_nl) * sizeof(float));
-          cursor_noloop_[rs] = dst_nl + nb_nl;
+          cursor_[rs] = dst + nb;
         }
       },
       "serve.session.base_rows");
@@ -313,179 +278,81 @@ void ServingSession::BuildComposed(const LinksView& lv,
   // Appended linksᵀ entries: serial ascending-i scatter keeps appended
   // columns N+i ascending within each base row. Both endpoints of every
   // appended entry changed degree this request, so values use the fresh
-  // normalizers.
+  // scales.
   for (int64_t i = 0; i < n; ++i) {
-    const int32_t col = static_cast<int32_t>(n_base_ + i);
-    const float di_g = b_dinv_gcn_[static_cast<size_t>(i)];
-    const float di_s = b_dinv_noloop_[static_cast<size_t>(i)];
+    const float di = b_scale_[static_cast<size_t>(i)];
     for (int64_t k = lv.row_ptr[i]; k < lv.row_ptr[i + 1]; ++k) {
       const size_t cs = static_cast<size_t>(lv.col_idx[k]);
-      const float v = lv.values[k];
-      const int64_t pos = cursor_loop_[cs]++;
-      gcn_ci_[static_cast<size_t>(pos)] = col;
-      gcn_v_[static_cast<size_t>(pos)] = v * new_dinv_gcn_[cs] * di_g;
-      row_v_[static_cast<size_t>(pos)] = v * new_inv_row_[cs];
-      const int64_t pos_s = cursor_noloop_[cs]++;
-      sym_ci_[static_cast<size_t>(pos_s)] = col;
-      sym_v_[static_cast<size_t>(pos_s)] = v * new_dinv_noloop_[cs] * di_s;
+      const size_t pos = static_cast<size_t>(cursor_[cs]++);
+      ci_[pos] = static_cast<int32_t>(n_base_ + i);
+      v_[pos] = ScaledEntry(sym, lv.values[k], new_scale_[cs], di);
     }
   }
 
-  // Batch rows: links entries, then the merged (inter, self-loop) tail.
+  // Batch rows: link entries, then the tail.
   ParallelFor(
       0, n, RowGrain(lv.nnz + (inter ? inter->Nnz() : 0) + n, n),
       [&](int64_t i0, int64_t i1) {
         for (int64_t i = i0; i < i1; ++i) {
-          const size_t is = static_cast<size_t>(i);
-          const float di_g = b_dinv_gcn_[is];
-          const float di_r = b_inv_row_[is];
-          const float di_s = b_dinv_noloop_[is];
-          int64_t dst = gcn_rp_[static_cast<size_t>(n_base_ + i)];
-          int64_t dst_s = sym_rp_[static_cast<size_t>(n_base_ + i)];
+          const float di = b_scale_[static_cast<size_t>(i)];
+          size_t dst =
+              static_cast<size_t>(rp_[static_cast<size_t>(n_base_ + i)]);
           for (int64_t k = lv.row_ptr[i]; k < lv.row_ptr[i + 1]; ++k) {
             const int32_t c = lv.col_idx[k];
-            const size_t cs = static_cast<size_t>(c);
-            const float v = lv.values[k];
-            gcn_ci_[static_cast<size_t>(dst)] = c;
-            gcn_v_[static_cast<size_t>(dst)] = v * di_g * new_dinv_gcn_[cs];
-            row_v_[static_cast<size_t>(dst)] = v * di_r;
-            ++dst;
-            sym_ci_[static_cast<size_t>(dst_s)] = c;
-            sym_v_[static_cast<size_t>(dst_s)] =
-                v * di_s * new_dinv_noloop_[cs];
-            ++dst_s;
+            ci_[dst] = c;
+            v_[dst++] = ScaledEntry(sym, lv.values[k], di,
+                                    new_scale_[static_cast<size_t>(c)]);
           }
-          auto emit_loop = [&](int32_t j, float v) {
-            const float dj = b_dinv_gcn_[static_cast<size_t>(j)];
-            gcn_ci_[static_cast<size_t>(dst)] =
-                static_cast<int32_t>(n_base_ + j);
-            gcn_v_[static_cast<size_t>(dst)] = v * di_g * dj;
-            row_v_[static_cast<size_t>(dst)] = v * di_r;
-            ++dst;
-          };
-          if (inter != nullptr) {
-            bool saw_diag = false;
-            for (int64_t k = inter->row_ptr()[is];
-                 k < inter->row_ptr()[is + 1]; ++k) {
-              const int32_t j = inter->col_idx()[static_cast<size_t>(k)];
-              const float v = inter->values()[static_cast<size_t>(k)];
-              if (!saw_diag && j > i) {
-                emit_loop(static_cast<int32_t>(i), 1.0f);
-                saw_diag = true;
-              }
-              if (j == i) saw_diag = true;
-              emit_loop(j, v);
-              sym_ci_[static_cast<size_t>(dst_s)] =
-                  static_cast<int32_t>(n_base_ + j);
-              sym_v_[static_cast<size_t>(dst_s)] =
-                  v * di_s * b_dinv_noloop_[static_cast<size_t>(j)];
-              ++dst_s;
-            }
-            if (!saw_diag) emit_loop(static_cast<int32_t>(i), 1.0f);
-          } else {
-            emit_loop(static_cast<int32_t>(i), 1.0f);
-          }
+          ForEachTailEntry(inter, i, self_loops, [&](int64_t j, float v) {
+            ci_[dst] = static_cast<int32_t>(n_base_ + j);
+            v_[dst++] =
+                ScaledEntry(sym, v, di, b_scale_[static_cast<size_t>(j)]);
+          });
         }
       },
       "serve.session.batch_rows");
 
-  // Patch phase A: changed base rows — renormalize the base-block segment
-  // with the fresh row normalizer (columns may be old or new).
+  // Patch pass, one task per changed base node c: row c of the base block
+  // takes its fresh row scale (its columns may be old or new), and, for the
+  // symmetric kinds, column c's entries in unchanged rows take the fresh
+  // column scale through the CSC index. A row patch writes only changed
+  // rows and a column patch only unchanged ones, so writes stay disjoint.
   const int64_t changed_n = static_cast<int64_t>(changed_.size());
-  const int64_t patch_grain = RowGrain(
-      changed_n * (base_loops.Nnz() / std::max<int64_t>(n_base_, 1) + 1),
-      std::max<int64_t>(changed_n, 1));
   ParallelFor(
-      0, changed_n, patch_grain,
+      0, changed_n,
+      RowGrain(changed_n * (s.Nnz() / std::max<int64_t>(n_base_, 1) + 1),
+               std::max<int64_t>(changed_n, 1)),
       [&](int64_t i0, int64_t i1) {
         for (int64_t idx = i0; idx < i1; ++idx) {
-          const size_t rs = static_cast<size_t>(changed_[
-              static_cast<size_t>(idx)]);
-          const float dr_g = new_dinv_gcn_[rs];
-          const float ir = new_inv_row_[rs];
-          const int64_t src = base_loops.row_ptr()[rs];
-          const int64_t dst = gcn_rp_[rs];
-          const int64_t nb = base_loops.row_ptr()[rs + 1] - src;
-          for (int64_t k = 0; k < nb; ++k) {
-            const size_t cs = static_cast<size_t>(
-                base_loops.col_idx()[static_cast<size_t>(src + k)]);
-            const float dc = changed_stamp_[cs] == epoch_
-                                 ? new_dinv_gcn_[cs]
-                                 : sb.dinv_gcn[cs];
-            const float v = base_loops.values()[static_cast<size_t>(src + k)];
-            gcn_v_[static_cast<size_t>(dst + k)] = v * dr_g * dc;
-            row_v_[static_cast<size_t>(dst + k)] = v * ir;
+          const size_t c =
+              static_cast<size_t>(changed_[static_cast<size_t>(idx)]);
+          const int64_t src = s.row_ptr()[c];
+          const int64_t dst = rp_[c];
+          for (int64_t k = 0; k < s.RowNnz(static_cast<int64_t>(c)); ++k) {
+            const size_t ks = static_cast<size_t>(src + k);
+            const size_t col = static_cast<size_t>(s.col_idx()[ks]);
+            const float dc = changed(col) ? new_scale_[col] : op_.scale[col];
+            v_[static_cast<size_t>(dst + k)] =
+                ScaledEntry(sym, s.values()[ks], new_scale_[c], dc);
           }
-          const float dr_s = new_dinv_noloop_[rs];
-          const int64_t src_s = raw.row_ptr()[rs];
-          const int64_t dst_s = sym_rp_[rs];
-          const int64_t nb_s = raw.row_ptr()[rs + 1] - src_s;
-          for (int64_t k = 0; k < nb_s; ++k) {
-            const size_t cs = static_cast<size_t>(
-                raw.col_idx()[static_cast<size_t>(src_s + k)]);
-            const float dc = changed_stamp_[cs] == epoch_
-                                 ? new_dinv_noloop_[cs]
-                                 : sb.dinv_noloop[cs];
-            sym_v_[static_cast<size_t>(dst_s + k)] =
-                raw.values()[static_cast<size_t>(src_s + k)] * dr_s * dc;
+          if (!sym) continue;  // row scaling reads no column degree
+          for (int64_t t = op_.csc.col_ptr[c]; t < op_.csc.col_ptr[c + 1];
+               ++t) {
+            const size_t r =
+                static_cast<size_t>(op_.csc.row[static_cast<size_t>(t)]);
+            if (changed(r)) continue;
+            const int64_t k = op_.csc.val_idx[static_cast<size_t>(t)];
+            v_[static_cast<size_t>(rp_[r] + (k - s.row_ptr()[r]))] =
+                ScaledEntry(sym, s.values()[static_cast<size_t>(k)],
+                            op_.scale[r], new_scale_[c]);
           }
         }
       },
-      "serve.session.patch_rows");
+      "serve.session.patch");
 
-  // Patch phase B: changed *columns* in unchanged rows, via the CSC index.
-  // Rows already rewritten in phase A are skipped, so writes stay disjoint.
-  // row_norm values only depend on the row degree — no column phase.
-  ParallelFor(
-      0, changed_n, patch_grain,
-      [&](int64_t i0, int64_t i1) {
-        for (int64_t idx = i0; idx < i1; ++idx) {
-          const size_t cs = static_cast<size_t>(changed_[
-              static_cast<size_t>(idx)]);
-          const float dc_g = new_dinv_gcn_[cs];
-          for (int64_t t = sb.csc_loops.col_ptr[cs];
-               t < sb.csc_loops.col_ptr[cs + 1]; ++t) {
-            const size_t rs = static_cast<size_t>(
-                sb.csc_loops.row[static_cast<size_t>(t)]);
-            if (changed_stamp_[rs] == epoch_) continue;
-            const int64_t k = sb.csc_loops.val_idx[static_cast<size_t>(t)];
-            const int64_t pos =
-                gcn_rp_[rs] + (k - base_loops.row_ptr()[rs]);
-            gcn_v_[static_cast<size_t>(pos)] =
-                base_loops.values()[static_cast<size_t>(k)] *
-                sb.dinv_gcn[rs] * dc_g;
-          }
-          const float dc_s = new_dinv_noloop_[cs];
-          for (int64_t t = sb.csc_noloop.col_ptr[cs];
-               t < sb.csc_noloop.col_ptr[cs + 1]; ++t) {
-            const size_t rs = static_cast<size_t>(
-                sb.csc_noloop.row[static_cast<size_t>(t)]);
-            if (changed_stamp_[rs] == epoch_) continue;
-            const int64_t k = sb.csc_noloop.val_idx[static_cast<size_t>(t)];
-            const int64_t pos =
-                sym_rp_[rs] + (k - raw.row_ptr()[rs]);
-            sym_v_[static_cast<size_t>(pos)] =
-                raw.values()[static_cast<size_t>(k)] * sb.dinv_noloop[rs] *
-                dc_s;
-          }
-        }
-      },
-      "serve.session.patch_cols");
-
-  // row_norm shares the with-loop structure; copy (capacity-reusing) so
-  // each matrix owns its arrays, then hand everything to ops_.
-  row_rp_ = gcn_rp_;
-  row_ci_ = gcn_ci_;
-  ops_.gcn_norm = CsrMatrix::FromParts(total, total, std::move(gcn_rp_),
-                                       std::move(gcn_ci_), std::move(gcn_v_),
-                                       /*validate=*/false);
-  ops_.row_norm = CsrMatrix::FromParts(total, total, std::move(row_rp_),
-                                       std::move(row_ci_), std::move(row_v_),
-                                       /*validate=*/false);
-  ops_.sym_no_loop = CsrMatrix::FromParts(total, total, std::move(sym_rp_),
-                                          std::move(sym_ci_),
-                                          std::move(sym_v_),
-                                          /*validate=*/false);
+  ops_.Get(op_.kind) = CsrMatrix::FromParts(total, total, std::move(rp_),
+                                            std::move(ci_), std::move(v_),
+                                            /*validate=*/false);
 }
 
 void ServingSession::FallbackCompose(const HeldOutBatch& batch,
@@ -500,15 +367,12 @@ void ServingSession::FallbackCompose(const HeldOutBatch& batch,
         n, n_base_, std::move(rp), conv_ci_, conv_v_, /*validate=*/false);
     links = &owned_links;
   }
-  CsrMatrix composed;
-  if (graph_batch) {
-    composed = ComposeBlockAdjacency(base_->base_graph.adjacency(), *links,
-                                     batch.inter);
-  } else {
-    composed = ComposeBlockAdjacency(base_->base_graph.adjacency(), *links,
-                                     CsrMatrix::FromTriplets(n, n, {}));
-  }
-  ops_ = GraphOperators::FromAdjacency(composed);
+  const CsrMatrix no_inter = CsrMatrix::FromTriplets(n, n, {});
+  const CsrMatrix composed =
+      ComposeBlockAdjacency(base_->base_graph.adjacency(), *links,
+                            graph_batch ? batch.inter : no_inter);
+  // Only RowNormalize drops entries, so only the row kind falls back.
+  ops_.row_norm = RowNormalize(AddSelfLoops(composed));
 }
 
 void ServingSession::StackBatchFeatures(const Tensor& batch_features) {
@@ -547,9 +411,7 @@ const Tensor& ServingSession::Serve(const HeldOutBatch& batch,
   requests_.Increment();
   EnsureBatchShape(n);
   // Reclaim the CSR buffers the previous request moved into ops_.
-  ops_.gcn_norm.TakeParts(&gcn_rp_, &gcn_ci_, &gcn_v_);
-  ops_.row_norm.TakeParts(&row_rp_, &row_ci_, &row_v_);
-  ops_.sym_no_loop.TakeParts(&sym_rp_, &sym_ci_, &sym_v_);
+  ops_.Get(op_.kind).TakeParts(&rp_, &ci_, &v_);
   BumpEpoch();
   arena_.Reset();
 
@@ -572,7 +434,7 @@ const Tensor& ServingSession::Serve(const HeldOutBatch& batch,
     links_nnz = lv.nnz;
     {
       obs::TraceSpan span("serve.session.compose", /*always_time=*/true);
-      bool exact = !sb.fallback_only && ComputeDegrees(lv, inter, n);
+      const bool exact = !op_.fallback_only && ComputeDegrees(lv, inter, n);
       if (exact) {
         BuildComposed(lv, inter, n);
       } else {
@@ -611,14 +473,8 @@ int64_t ServingSession::workspace_bytes() const {
       VecBytes(conv_acc_) + VecBytes(conv_stamp_) + VecBytes(conv_touched_) +
       VecBytes(conv_rp_) + VecBytes(conv_ci_) + VecBytes(conv_v_) +
       VecBytes(changed_stamp_) + VecBytes(changed_) + VecBytes(extra_) +
-      VecBytes(new_acc_loop_) + VecBytes(new_acc_noloop_) +
-      VecBytes(new_dinv_gcn_) + VecBytes(new_inv_row_) +
-      VecBytes(new_dinv_noloop_) + VecBytes(b_dinv_gcn_) +
-      VecBytes(b_inv_row_) + VecBytes(b_dinv_noloop_) + VecBytes(gcn_rp_) +
-      VecBytes(row_rp_) + VecBytes(sym_rp_) + VecBytes(gcn_ci_) +
-      VecBytes(row_ci_) + VecBytes(sym_ci_) + VecBytes(gcn_v_) +
-      VecBytes(row_v_) + VecBytes(sym_v_) + VecBytes(cursor_loop_) +
-      VecBytes(cursor_noloop_);
+      VecBytes(new_acc_) + VecBytes(new_scale_) + VecBytes(b_scale_) +
+      VecBytes(rp_) + VecBytes(ci_) + VecBytes(v_) + VecBytes(cursor_);
   // Composed CSR storage currently parked inside ops_ (the scratch vectors
   // above are empty right after a serve moved them there — no double count).
   bytes += CsrStorageBytes(ops_.gcn_norm) + CsrStorageBytes(ops_.row_norm) +

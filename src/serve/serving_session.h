@@ -26,23 +26,24 @@ namespace mcond {
 /// This is the one serving engine: ServeOnCondensed/ServeOnOriginal,
 /// ReplicaPool/ConcurrentServer and the network registry all serve through
 /// it. Composing the deployment from scratch (`ComposeDeployment`)
-/// recomposes the block adjacency, renormalizes all N+n rows, and restacks
-/// all N+n feature rows, although >95% of that work is identical between
-/// requests. The session amortizes the static part:
+/// recomposes the block adjacency, renormalizes all N+n rows of every
+/// operator, and restacks all N+n feature rows, although >95% of that work
+/// is identical between requests. The session composes only the one
+/// normalized operator the model reads (GnnModel::ReadsOperator()) and
+/// amortizes its static part:
 ///
-/// Cached at build time (in a SessionBase, shareable across sessions)
-///  - the base adjacency with self-loops (Ã = A + I) and its raw form;
-///  - exact per-row degree accumulators (the double-precision partial sums
-///    `RowSums` would produce), so a batch's contribution can be appended
-///    without reordering a single float addition;
-///  - the base blocks of all three normalized operators (GCN, row-norm,
-///    sym-no-loop), i.e. the values that are reused verbatim for rows whose
-///    degree does not change;
-///  - CSC patch indexes of the base block, mapping each column to the
-///    (row, value-index) pairs that reference it, so a degree change in
-///    column c touches only the entries that actually contain c.
+/// Cached at build time (in a SessionBase, shareable across sessions), per
+/// operator kind (SessionBase::OperatorBase)
+///  - the base structure (A, or Ã = A + I) and its normalized values, which
+///    are reused verbatim for rows whose degree does not change;
+///  - exact per-row degree partials (the double sums `RowSums` would
+///    produce), so a batch's contribution can be appended without
+///    reordering a single float addition, and the per-row scales;
+///  - for the symmetric kinds, a CSC patch index of the base block, mapping
+///    each column to the (row, value-index) pairs that reference it, so a
+///    degree change in column c touches only the entries that contain c.
 /// Owned per session (the replica workspace)
-///  - preallocated workspaces: composed CSR buffers, the stacked feature
+///  - preallocated workspaces: the composed CSR buffers, the stacked feature
 ///    matrix, output logits, SpGEMM scratch for the aM conversion, and a
 ///    TensorArena that backs every intermediate tensor of the forward pass.
 ///
@@ -53,25 +54,26 @@ namespace mcond {
 /// Per request (`Serve`)
 ///  - links are converted through the mapping (aM) into preallocated
 ///    buffers, replicating `CsrMatrix::Multiply`'s accumulation order;
-///  - the composed structure is rebuilt into the cached buffers (parallel
-///    row copies of the base block + appended link columns);
-///  - ONLY rows whose degree changed — the n batch rows plus the base rows
-///    gaining a link — are renormalized; everything else is patched from
-///    the cached operator values (a column pass fixes entries whose
-///    *column* degree changed);
+///  - one degree pass updates the degrees of the n batch rows and of the
+///    base rows gaining a link;
+///  - one compose pass rebuilds the operator into the cached buffers
+///    (parallel row copies of the base block + appended link columns);
+///  - one patch pass rescales only the rows whose degree changed and, for
+///    the symmetric kinds, the entries whose *column* degree changed;
 ///  - only the n batch feature rows are copied into the persistent stacked
 ///    feature buffer;
 ///  - the forward pass runs inside the arena, and the batch logits are
 ///    copied into a persistent output tensor.
+/// The other two GraphOperators fields stay empty.
 ///
 /// Exactness: results are bit-identical to `ComposeDeployment` + `Predict`
 /// (the from-scratch reference) at every thread count — the same float
 /// expressions are evaluated in the same order; tests enforce memcmp
 /// equality. The one semantic corner that cannot be patched incrementally
-/// — `RowNormalize` *dropping* rows whose degree is exactly 0 — is detected
-/// (at build for base rows, per request for changed/batch rows) and routed
-/// to an exact full-recompose fallback; `fallback_serves()` counts how
-/// often that happened (0 on real graphs).
+/// — `RowNormalize` *dropping* rows whose degree is exactly 0, so only for
+/// the row kind — is detected (at build for base rows, per request for
+/// changed/batch rows) and routed to an exact full-recompose fallback;
+/// `fallback_serves()` counts how often that happened (0 on real graphs).
 ///
 /// Allocation contract: after one warm-up serve per batch shape,
 /// steady-state `Serve` performs zero tensor-heap allocations
@@ -151,14 +153,14 @@ class ServingSession {
   void BumpEpoch();
   /// aM SpGEMM into conv_* buffers; bit-identical to CsrMatrix::Multiply.
   LinksView ConvertLinks(const CsrMatrix& links);
-  /// Computes composed degrees / normalizers for changed base rows and
-  /// batch rows. Returns false if a degree-0 row would trigger
+  /// The degree pass: composed degrees and scales of the changed base rows
+  /// and the batch rows. Returns false if a degree-0 row would trigger
   /// RowNormalize's entry-dropping path (take the fallback).
   bool ComputeDegrees(const LinksView& lv, const CsrMatrix* inter, int64_t n);
-  /// Builds the composed CSR structures + values into the cached buffers
-  /// and assembles ops_ from them.
+  /// The compose and patch passes: builds the operator into rp_/ci_/v_ and
+  /// moves it into ops_.
   void BuildComposed(const LinksView& lv, const CsrMatrix* inter, int64_t n);
-  /// Exact slow path: full compose + FromAdjacency (same code as
+  /// Exact slow path: full compose + RowNormalize (same code as
   /// ComposeDeployment).
   void FallbackCompose(const HeldOutBatch& batch, bool graph_batch,
                        int64_t n);
@@ -167,6 +169,7 @@ class ServingSession {
   // ---- build-time caches, immutable and shareable across replicas ----
   std::shared_ptr<const SessionBase> base_;
   GnnModel& model_;
+  const SessionBase::OperatorBase& op_;  // the kind model_ reads
 
   int64_t n_base_ = 0;   // N (or N'), mirrors base_->n_base
   int64_t feat_dim_ = 0;  // mirrors base_->feat_dim
@@ -181,27 +184,18 @@ class ServingSession {
   std::vector<int64_t> conv_rp_;
   std::vector<int32_t> conv_ci_;
   std::vector<float> conv_v_;
-  // Changed base rows and their updated degrees/normalizers.
+  // Changed base rows and their updated degrees/scales.
   std::vector<uint32_t> changed_stamp_;
   std::vector<int32_t> changed_;
   std::vector<int64_t> extra_;  // appended links per changed base row
-  std::vector<double> new_acc_loop_;
-  std::vector<double> new_acc_noloop_;
-  std::vector<float> new_dinv_gcn_;
-  std::vector<float> new_inv_row_;
-  std::vector<float> new_dinv_noloop_;
-  // Batch-row normalizers.
-  std::vector<float> b_dinv_gcn_;
-  std::vector<float> b_inv_row_;
-  std::vector<float> b_dinv_noloop_;
-  // Composed CSR buffers. The with-self-loop structure (gcn_rp_/gcn_ci_) is
-  // shared by gcn_norm and row_norm (copied into row_rp_/row_ci_ so each
-  // CsrMatrix owns its arrays); sym_no_loop has its own raw structure.
-  std::vector<int64_t> gcn_rp_, row_rp_, sym_rp_;
-  std::vector<int32_t> gcn_ci_, row_ci_, sym_ci_;
-  std::vector<float> gcn_v_, row_v_, sym_v_;
-  std::vector<int64_t> cursor_loop_;
-  std::vector<int64_t> cursor_noloop_;
+  std::vector<double> new_acc_;
+  std::vector<float> new_scale_;
+  std::vector<float> b_scale_;  // batch-row scales
+  // The composed operator's CSR buffers, and each base row's append cursor.
+  std::vector<int64_t> rp_;
+  std::vector<int32_t> ci_;
+  std::vector<float> v_;
+  std::vector<int64_t> cursor_;
 
   // ---- persistent outputs ----
   GraphOperators ops_;

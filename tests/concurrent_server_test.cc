@@ -211,18 +211,16 @@ TEST_F(ConcurrentServerTest, SubmitValidatesBeforeEnqueueAndAfterShutdown) {
 
 TEST_F(ConcurrentServerTest, Degree0FallbackServedConcurrently) {
   // Ã row 0 sums to exactly 0 (1 - 2 + self-loop 1): RowNormalize drops its
-  // entries at graph construction, so the base is fallback-only and every
+  // entries, so a GraphSAGE base (the row kind) is fallback-only and every
   // serve — concurrent included — must take the exact full-recompose path.
+  // The symmetric kinds only scale such a row by 0, so SGC and Cheby
+  // sessions on the same base patch it exactly and never fall back.
   std::vector<Triplet> t = {{0, 1, 1.0f}, {0, 2, -2.0f}, {1, 2, 1.0f},
                             {2, 1, 1.0f}};
   const int64_t n_base = 3, dim = 4, classes = 2;
   Rng grng(3);
   Graph g(CsrMatrix::FromTriplets(n_base, n_base, std::move(t)),
           grng.NormalTensor(n_base, dim), {0, 1, 0}, classes);
-  Rng mrng(7);
-  GnnConfig gc;
-  std::unique_ptr<GnnModel> model =
-      MakeGnn(GnnArch::kSgc, dim, classes, gc, mrng);
 
   HeldOutBatch batch;
   batch.features = grng.NormalTensor(2, dim);
@@ -231,32 +229,47 @@ TEST_F(ConcurrentServerTest, Degree0FallbackServedConcurrently) {
   batch.inter = CsrMatrix::FromTriplets(2, 2, {});
   batch.labels = {0, 1};
 
-  ServingSession solo(g, *model);
-  Rng srng(9);
-  const Tensor expect = solo.Serve(batch, /*graph_batch=*/false, srng);
-  EXPECT_GT(solo.fallback_serves(), 0);
+  for (const GnnArch arch :
+       {GnnArch::kGraphSage, GnnArch::kSgc, GnnArch::kCheby}) {
+    SCOPED_TRACE(GnnArchName(arch));
+    const bool falls_back = arch == GnnArch::kGraphSage;
+    Rng mrng(7);
+    GnnConfig gc;
+    std::unique_ptr<GnnModel> model = MakeGnn(arch, dim, classes, gc, mrng);
+    const Deployment dep =
+        ComposeDeployment(g, batch, /*graph_batch=*/false);
+    Rng rrng(9);
+    const Tensor expect =
+        SliceRows(model->Predict(dep.operators, dep.features, rrng), n_base,
+                  n_base + batch.size());
 
-  std::shared_ptr<const SessionBase> base = SessionBase::Build(g);
-  EXPECT_TRUE(base->fallback_only);
-  ConcurrentServer::Config cfg;
-  cfg.num_replicas = 2;
-  ConcurrentServer server(base, *model, cfg);
-  std::vector<Tensor> outs(6);
-  std::vector<ServeTicket> tickets;
-  for (Tensor& out : outs) {
-    StatusOr<ServeTicket> tk =
-        server.Submit(batch, /*graph_batch=*/false, &out);
-    ASSERT_TRUE(tk.ok());
-    tickets.push_back(tk.value());
+    ServingSession solo(g, *model);
+    Rng srng(9);
+    ExpectBitEqual(expect, solo.Serve(batch, /*graph_batch=*/false, srng));
+    EXPECT_EQ(solo.fallback_serves(), falls_back ? 1 : 0);
+
+    std::shared_ptr<const SessionBase> base = SessionBase::Build(g);
+    EXPECT_EQ(base->op(model->ReadsOperator()).fallback_only, falls_back);
+    ConcurrentServer::Config cfg;
+    cfg.num_replicas = 2;
+    ConcurrentServer server(base, *model, cfg);
+    std::vector<Tensor> outs(6);
+    std::vector<ServeTicket> tickets;
+    for (Tensor& out : outs) {
+      StatusOr<ServeTicket> tk =
+          server.Submit(batch, /*graph_batch=*/false, &out);
+      ASSERT_TRUE(tk.ok());
+      tickets.push_back(tk.value());
+    }
+    for (ServeTicket& tk : tickets) EXPECT_TRUE(tk.Wait().ok());
+    for (const Tensor& out : outs) ExpectBitEqual(expect, out);
+    server.Shutdown();
+    int64_t fallbacks = 0;
+    for (int r = 0; r < server.pool().size(); ++r) {
+      fallbacks += server.pool().replica(r).fallback_serves();
+    }
+    EXPECT_EQ(fallbacks, falls_back ? 6 : 0);
   }
-  for (ServeTicket& tk : tickets) EXPECT_TRUE(tk.Wait().ok());
-  for (const Tensor& out : outs) ExpectBitEqual(expect, out);
-  server.Shutdown();
-  int64_t fallbacks = 0;
-  for (int r = 0; r < server.pool().size(); ++r) {
-    fallbacks += server.pool().replica(r).fallback_serves();
-  }
-  EXPECT_EQ(fallbacks, 6);
 }
 
 TEST_F(ConcurrentServerTest, PoolOfFourSharesBaseAndGrowsSublinearly) {

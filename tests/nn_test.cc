@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/tensor_ops.h"
 #include "data/synthetic.h"
 #include "gradcheck.h"
@@ -119,6 +121,27 @@ TEST_P(GnnZooTest, SnapshotRestoreRoundTrips) {
   for (size_t i = 0; i < snap.size(); ++i) {
     EXPECT_TRUE(AllClose(snap[i], back[i]));
   }
+}
+
+TEST_P(GnnZooTest, ForwardReadsOnlyItsDeclaredOperator) {
+  // The contract a serving session relies on when it composes only
+  // ReadsOperator(): the other two operators may be empty.
+  Graph g = TestGraph();
+  Rng rng(8);
+  GnnConfig config;
+  config.hidden_dim = 8;
+  auto model = MakeGnn(GetParam().arch, g.FeatureDim(), g.num_classes(),
+                       config, rng);
+  GraphOperators full = GraphOperators::FromGraph(g);
+  GraphOperators only;
+  only.Get(model->ReadsOperator()) = full.Get(model->ReadsOperator());
+  Rng rng_full(9), rng_only(9);
+  const Tensor expect = model->Predict(full, g.features(), rng_full);
+  const Tensor got = model->Predict(only, g.features(), rng_only);
+  ASSERT_TRUE(expect.SameShape(got));
+  EXPECT_EQ(std::memcmp(expect.data(), got.data(),
+                        static_cast<size_t>(got.size()) * sizeof(float)),
+            0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -71,6 +71,41 @@ TEST(SerializeTest, WrongTypeMagicRejected) {
   EXPECT_FALSE(ReadCsrMatrix(ss).ok());  // Tensor bytes read as CSR.
 }
 
+/// Overwrites the int64 header field at byte `offset` of a serialized
+/// object.
+std::stringstream WithHeaderField(const std::string& bytes, size_t offset,
+                                  int64_t value) {
+  std::string out = bytes;
+  out.replace(offset, sizeof(value), reinterpret_cast<const char*>(&value),
+              sizeof(value));
+  return std::stringstream(out);
+}
+
+TEST(SerializeTest, OverflowingTensorShapeRejected) {
+  // rows * cols = 4 * 2^62 wraps to 0 in int64: the shape check must not
+  // multiply. Header: magic(4) + version(4) + rows(8) + cols(8).
+  std::stringstream ss;
+  ASSERT_TRUE(WriteTensor(ss, Tensor::Ones(4, 2)).ok());
+  std::stringstream hostile =
+      WithHeaderField(ss.str(), 16, int64_t{1} << 62);
+  StatusOr<Tensor> back = ReadTensor(hostile);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SerializeTest, CsrRowCountBeyondStreamRejectedNotAllocated) {
+  // rows = 2^40 would allocate 8 TiB of row pointers (std::bad_alloc);
+  // allocations are bounded by the bytes the stream still holds.
+  // Header: magic(4) + version(4) + rows(8) + cols(8) + nnz(8).
+  std::stringstream ss;
+  ASSERT_TRUE(
+      WriteCsrMatrix(ss, CsrMatrix::FromTriplets(2, 2, {{0, 1, 1.0f}})).ok());
+  std::stringstream hostile = WithHeaderField(ss.str(), 8, int64_t{1} << 40);
+  StatusOr<CsrMatrix> back = ReadCsrMatrix(hostile);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(SerializeTest, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/tensor.bin";
   Rng rng(3);

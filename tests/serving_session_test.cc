@@ -75,47 +75,33 @@ InductiveDataset* ServingSessionTest::data_ = nullptr;
 CondensedGraph* ServingSessionTest::condensed_ = nullptr;
 
 TEST_F(ServingSessionTest, BitIdenticalAcrossArchitecturesAndBatchModes) {
-  // kSgc / kGraphSage / kCheby collectively exercise all three cached
-  // operators (gcn_norm, row_norm, sym_no_loop).
-  for (const GnnArch arch :
-       {GnnArch::kSgc, GnnArch::kGraphSage, GnnArch::kCheby}) {
+  // Every architecture, hence every operator kind (gcn_norm for SGC, GCN
+  // and APPNP, row_norm for GraphSAGE, sym_no_loop for Cheby), on both
+  // deployments, in both batch modes, at 1 and 8 threads.
+  for (const GnnArch arch : {GnnArch::kSgc, GnnArch::kGcn, GnnArch::kGraphSage,
+                             GnnArch::kAppnp, GnnArch::kCheby}) {
     std::unique_ptr<GnnModel> model = MakeModel(arch);
-    for (const bool graph_batch : {true, false}) {
-      const Tensor expect =
-          ReferenceLogits(*model, data_->test, graph_batch,
-                           /*on_condensed=*/true);
-      ServingSession session(*condensed_, *model);
-      Rng rng(9);
-      const Tensor& got = session.Serve(data_->test, graph_batch, rng);
-      ExpectBitEqual(expect, got);
-      EXPECT_EQ(session.fallback_serves(), 0);
+    for (const bool on_condensed : {true, false}) {
+      for (const bool graph_batch : {true, false}) {
+        const Tensor expect = ReferenceLogits(*model, data_->test,
+                                               graph_batch, on_condensed);
+        for (const int threads : {1, 8}) {
+          SCOPED_TRACE(std::string(GnnArchName(arch)) +
+                       (on_condensed ? " condensed" : " original") +
+                       (graph_batch ? " graph-batch " : " node-batch ") +
+                       std::to_string(threads) + " threads");
+          ThreadPool::Global().SetNumThreads(threads);
+          ServingSession session = on_condensed
+                                       ? ServingSession(*condensed_, *model)
+                                       : ServingSession(data_->train_graph,
+                                                        *model);
+          Rng rng(9);
+          ExpectBitEqual(expect,
+                         session.Serve(data_->test, graph_batch, rng));
+          EXPECT_EQ(session.fallback_serves(), 0);
+        }
+      }
     }
-  }
-}
-
-TEST_F(ServingSessionTest, BitIdenticalOnOriginalGraph) {
-  std::unique_ptr<GnnModel> model = MakeModel(GnnArch::kSgc);
-  for (const bool graph_batch : {true, false}) {
-    const Tensor expect = ReferenceLogits(*model, data_->test, graph_batch,
-                                           /*on_condensed=*/false);
-    ServingSession session(data_->train_graph, *model);
-    Rng rng(9);
-    const Tensor& got = session.Serve(data_->test, graph_batch, rng);
-    ExpectBitEqual(expect, got);
-  }
-}
-
-TEST_F(ServingSessionTest, BitIdenticalAcrossThreadWidths) {
-  std::unique_ptr<GnnModel> model = MakeModel(GnnArch::kSgc);
-  const Tensor expect = ReferenceLogits(*model, data_->test,
-                                         /*graph_batch=*/true,
-                                         /*on_condensed=*/true);
-  for (const int threads : {1, 8}) {
-    ThreadPool::Global().SetNumThreads(threads);
-    ServingSession session(*condensed_, *model);
-    Rng rng(9);
-    ExpectBitEqual(expect,
-                   session.Serve(data_->test, /*graph_batch=*/true, rng));
   }
   ThreadPool::Global().SetNumThreads(ThreadPool::DefaultNumThreads());
 }
@@ -187,6 +173,46 @@ TEST_F(ServingSessionTest, ServeOnMatchesComposeDeploymentEndToEnd) {
       ExpectBitEqual(expect, res.logits);
       EXPECT_DOUBLE_EQ(res.accuracy,
                        AccuracyFromLogits(expect, data_->test.labels));
+    }
+  }
+}
+
+TEST(ServingSessionFallbackTest, RequestZeroingADegreeFallsBackForRowKindOnly) {
+  // Ã row 0 sums to 0.5 (self-loop 1, edge -0.5), so no base is
+  // fallback-only; a link of weight -0.5 brings it to exactly 0, and
+  // RowNormalize then drops the row's entries. GraphSAGE (the row kind)
+  // must take the exact fallback for that request; SGC and Cheby (the
+  // symmetric kinds) scale the row by 0 and patch it.
+  const int64_t n_base = 3, dim = 4, classes = 2;
+  Rng grng(5);
+  Graph g(CsrMatrix::FromTriplets(n_base, n_base,
+                                  {{0, 1, -0.5f}, {1, 0, -0.5f},
+                                   {1, 2, 1.0f}, {2, 1, 1.0f}}),
+          grng.NormalTensor(n_base, dim), {0, 1, 0}, classes);
+  HeldOutBatch batch;
+  batch.features = grng.NormalTensor(2, dim);
+  batch.links =
+      CsrMatrix::FromTriplets(2, n_base, {{0, 0, -0.5f}, {1, 2, 1.0f}});
+  batch.inter = CsrMatrix::FromTriplets(2, 2, {{0, 1, 1.0f}, {1, 0, 1.0f}});
+  batch.labels = {0, 1};
+  for (const GnnArch arch :
+       {GnnArch::kGraphSage, GnnArch::kSgc, GnnArch::kCheby}) {
+    for (const bool graph_batch : {true, false}) {
+      SCOPED_TRACE(std::string(GnnArchName(arch)) +
+                   (graph_batch ? " graph-batch" : " node-batch"));
+      Rng mrng(7);
+      std::unique_ptr<GnnModel> model =
+          MakeGnn(arch, dim, classes, GnnConfig{}, mrng);
+      const Deployment dep = ComposeDeployment(g, batch, graph_batch);
+      Rng rrng(9);
+      const Tensor expect =
+          SliceRows(model->Predict(dep.operators, dep.features, rrng),
+                    n_base, n_base + batch.size());
+      ServingSession session(g, *model);
+      Rng srng(9);
+      ExpectBitEqual(expect, session.Serve(batch, graph_batch, srng));
+      EXPECT_EQ(session.fallback_serves(),
+                arch == GnnArch::kGraphSage ? 1 : 0);
     }
   }
 }

@@ -9,7 +9,9 @@
 # widths, AND within each run every logits_session* digest must equal its
 # logits_per_request* counterpart — the session (the one serving engine
 # behind ServeOn*) is bit-identical to the from-scratch ComposeDeployment
-# reference, not just self-consistent (docs/performance.md).
+# reference, not just self-consistent (docs/performance.md). The smoke
+# prints these pairs for SGC, GraphSAGE and Cheby, one architecture per
+# operator kind a session composes, on both deployments.
 #
 # When given a bench_condense_scale binary it also proves the out-of-core
 # contract: its --smoke digests must match between the two widths AND

@@ -414,7 +414,8 @@ int CmdServe(const Args& args) {
     ConcurrentServer::Config cfg;
     cfg.num_replicas = concurrency;
     cfg.queue_capacity = queue_slots;
-    ConcurrentServer server(SessionBase::Build(cg), *model, cfg);
+    ConcurrentServer server(
+        SessionBase::Build(cg, {model->ReadsOperator()}), *model, cfg);
     std::vector<Tensor> outs(batches.size());
     std::vector<ServeTicket> tickets;
     obs::TraceSpan wall("cli.serve_concurrent", /*always_time=*/true);
